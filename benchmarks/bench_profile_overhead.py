@@ -1,7 +1,8 @@
 """Attribution-profiler self-cost — the dimension accumulator budget.
 
-The attributed event loop (``Engine._run_attributed``) promises two
-things: it is cheap (one ``perf_counter`` pair plus a dict upsert per
+Per-event attribution (``EngineProfiler.attributor``, the callable
+``Simulator.run`` dispatches through when dimensions are on) promises
+two things: it is cheap (one ``perf_counter`` pair plus a dict upsert per
 event, with the kind/site resolution memoized per callback), and it is
 inert (the causal journal is byte-identical with attribution on or
 off, because the accumulator only observes callback timing and never

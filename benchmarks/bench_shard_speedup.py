@@ -1,14 +1,14 @@
 """Sharded conservative DES — one scenario across all cores.
 
 Runs a scaled Fig. 7 cell (400 leaves, 80 attackers at 1 Mb/s) once
-serially and once as four shard worker processes
-(``shards=4, shard_exec="processes"``), and checks the whole contract:
+serially and once as four forked shard worker processes
+(``shards=4``), and checks the whole contract:
 
 * **identity** — the merged sharded causal journal is byte-identical
   to the serial one, and the headline results (event count, goodput
-  percentages) match exactly.  This is the same witness the inline
-  suite (``tests/test_shard.py``) proves per-scenario; here it is
-  re-proved at bench scale on every regression run.
+  percentages) match exactly.  This is the same witness
+  ``tests/test_shard.py`` proves on a small tree; here it is re-proved
+  at bench scale on every regression run.
 * **speedup** — serial vs 4-shard wall time.  The floor (>= 1.5x with
   4 shards, per the acceptance criteria) is only asserted on runners
   with >= 4 cores; on smaller boxes the measured ratio is still
@@ -73,7 +73,7 @@ def _run(params):
 def run_measurement():
     serial, wall_serial, journal_serial, _ = _run(BASE)
     sharded, wall_sharded, journal_sharded, extra = _run(
-        replace(BASE, shards=SHARDS, shard_exec="processes")
+        replace(BASE, shards=SHARDS)
     )
     twin = Telemetry()
     run_tree_scenario(TWIN, telemetry=twin)
@@ -84,7 +84,7 @@ def run_measurement():
         "wall_serial": wall_serial,
         "wall_sharded": wall_sharded,
         "identical": journal_serial == journal_sharded,
-        "fork": extra["shard_exec"],
+        "fork": extra["forked"],
         "brent": brent,
     }
 

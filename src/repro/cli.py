@@ -27,8 +27,8 @@ Usage::
     python -m repro critical-path run.jsonl
     python -m repro shardplan run.jsonl --by as --out plan.json
     python -m repro shardplan run.jsonl --emit-config shards.json --shards 4
-    python -m repro stats --scale quick --shards 4 --shard-config shards.json
-    python -m repro fig8 --scale quick --shards 2
+    python -m repro stats --scale quick --defense none --shards 4 \
+        --shard-config shards.json
     python -m repro report run.jsonl --critical --html report.html
 
 ``--metrics-out FILE`` on a figure command (and on ``stats`` and
@@ -80,14 +80,13 @@ when every point completed and 3 on partial failure (quarantined
 points are listed in the ``--out`` artifact, and completed work is
 reusable via ``--checkpoint``).
 
-``--shards N`` (or ``$REPRO_SHARDS``) on ``stats``, the figure
-commands, and ``sweep`` runs each scenario's event loop conservatively
-sharded over N per-AS subtree groups (:mod:`repro.sim.shard`); the
-causal journal stays byte-identical to a serial run — the identity is
-the merge proof, gated in CI.  ``stats`` additionally takes
-``--shard-exec processes`` (forked workers, real parallelism, for
-defense-free continuous workloads) and ``--shard-config FILE`` (a
-``repro.shardconfig/1`` assignment from ``shardplan --emit-config``).
+``--shards N`` on ``stats`` runs the scenario conservatively sharded
+over N per-AS subtree groups, one forked worker each
+(:mod:`repro.sim.shard`).  Only defense-free continuous workloads fit
+that envelope; ``--shards`` implies the per-host RNG discipline, so
+``--shards 1`` is the serial twin whose causal journal a forked run
+reproduces byte for byte (gated in CI).  ``--shard-config FILE`` takes
+a ``repro.shardconfig/1`` assignment from ``shardplan --emit-config``.
 """
 
 from __future__ import annotations
@@ -160,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="event-scheduler policy (default: $REPRO_SCHEDULER, "
             "else auto); results are identical under all policies",
         )
-        _add_shard_args(p)
         _add_stream_dir_args(p)
 
     w = sub.add_parser(
@@ -209,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="event-scheduler policy of every task's simulator "
         "(default: $REPRO_SCHEDULER, else auto)",
     )
-    _add_shard_args(w)
     w.add_argument(
         "--timeout",
         type=float,
@@ -348,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="event-scheduler policy (default: $REPRO_SCHEDULER, "
         "else auto); the journal is identical under all policies",
     )
-    _add_shard_args(s, full=True)
+    _add_shard_args(s)
     s.add_argument(
         "--metrics-out",
         metavar="FILE",
@@ -506,10 +503,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--shards",
         type=int,
-        default=None,
+        default=2,
         metavar="N",
-        help="group count for --emit-config (default: $REPRO_SHARDS, "
-        "else 2)",
+        help="group count for --emit-config (default: 2)",
     )
     sp.add_argument(
         "--trace",
@@ -755,8 +751,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from dataclasses import replace
 
         from .experiments.figures import _scenario_base
-        from .experiments.scenarios import run_tree_scenario
+        from .experiments.scenarios import check_fork_envelope, run_tree_scenario
         from .obs import Telemetry
+        from .sim.shard import ShardError
 
         telemetry = Telemetry()
         params = _apply_shard_args(
@@ -777,32 +774,34 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 path=args.stream_out,
                 interval=resolve_stream_interval(args.stream_interval),
             )
-        result = run_tree_scenario(
-            params,
-            telemetry=telemetry,
-            stream=stream,
-            shard_config=_load_shard_config(args),
-        )
+        # Sharding setup errors (fork envelope, malformed --shard-config,
+        # a config group outside the requested count) are usage errors.
+        try:
+            check_fork_envelope(params, stream=stream)
+            shard_config = _load_shard_config(args)
+        except (ShardError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        try:
+            result = run_tree_scenario(
+                params, telemetry=telemetry, stream=stream, shard_config=shard_config
+            )
+        except ShardError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         # Write the artifacts before printing: stdout may be a closed
         # pipe (`... | head`), and the artifacts must survive that.
         path = telemetry.write(args.metrics_out) if args.metrics_out else None
         journal_path = _write_journal(telemetry, args.journal_out)
         try:
             print(telemetry.render())
-            barrier = telemetry.extra.get("shard_barrier")
-            if barrier:
+            forked = telemetry.extra.get("forked")
+            if forked:
                 print(
-                    f"sharded: {len(barrier['shards'])} shard(s), "
-                    f"{barrier['cross_schedules']} cross-shard schedules, "
-                    f"{barrier['violations']} barrier violations"
-                )
-            shard_exec = telemetry.extra.get("shard_exec")
-            if shard_exec:
-                print(
-                    f"forked: {shard_exec['shards']} worker(s), "
-                    f"{shard_exec['windows']} sync windows, "
-                    f"{shard_exec['boundary_messages']} boundary messages "
-                    f"(lookahead {shard_exec['lookahead']:g} s)"
+                    f"forked: {forked['shards']} worker(s), "
+                    f"{forked['windows']} sync windows, "
+                    f"{forked['boundary_messages']} boundary messages "
+                    f"(lookahead {forked['lookahead']:g} s)"
                 )
             print(
                 f"legit throughput during attack: "
@@ -817,13 +816,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except BrokenPipeError:
             pass
         return 0
-    if getattr(args, "shards", None) is not None:
-        # Figure functions build their own scenario params; the shard
-        # count reaches them the same way a bare environment run would
-        # ($REPRO_SHARDS is re-read per scenario, pool workers inherit).
-        import os
-
-        os.environ["REPRO_SHARDS"] = str(args.shards)
     telemetry = None
     if getattr(args, "metrics_out", None) or getattr(args, "journal_out", None):
         from .obs import Telemetry
@@ -901,55 +893,36 @@ def _apply_policy_args(base, args):
     return replace(base, **kwargs)
 
 
-def _add_shard_args(p: argparse.ArgumentParser, full: bool = False) -> None:
-    """``--shards`` (and on ``stats`` the full set): conservative
-    sharded execution (:mod:`repro.sim.shard`)."""
+def _add_shard_args(p: argparse.ArgumentParser) -> None:
+    """``--shards``/``--shard-config`` on ``stats``: forked sharded
+    execution (:mod:`repro.sim.shard`)."""
     p.add_argument(
         "--shards",
         type=int,
         default=None,
         metavar="N",
-        help="run each scenario's event loop sharded over N per-AS "
-        "subtree groups (default: $REPRO_SHARDS, else serial); the "
-        "journal is byte-identical to a serial run",
+        help="run the scenario over N forked per-AS subtree workers "
+        "(defense-free continuous workloads only); implies "
+        "rng_discipline per-host, so --shards 1 is the serial twin and "
+        "the journal is byte-identical across N",
     )
-    if full:
-        p.add_argument(
-            "--shard-exec",
-            choices=("inline", "processes"),
-            default=None,
-            help="sharded execution mode: inline (single process, any "
-            "scenario) or processes (forked workers, real parallelism; "
-            "defense-free continuous workloads with --shard-exec "
-            "processes imply rng_discipline per-host)",
-        )
-        p.add_argument(
-            "--shard-config",
-            metavar="FILE",
-            default=None,
-            help="repro.shardconfig/1 assignment from `repro shardplan "
-            "--emit-config` pinning subtree labels to shard groups",
-        )
+    p.add_argument(
+        "--shard-config",
+        metavar="FILE",
+        default=None,
+        help="repro.shardconfig/1 assignment from `repro shardplan "
+        "--emit-config` pinning subtree labels to shard groups",
+    )
 
 
 def _apply_shard_args(base, args):
-    """Fold ``--shards``/``--shard-exec`` into the scenario params.
-
-    Leaves ``shards=0`` (defer to ``$REPRO_SHARDS``) when the flag is
-    absent.  ``--shard-exec processes`` implies the per-host RNG
-    discipline fork mode requires.
-    """
+    """Fold ``--shards`` into the scenario params, with the per-host RNG
+    discipline forked execution requires (a no-op without the flag)."""
     from dataclasses import replace
 
-    kwargs = {}
-    if getattr(args, "shards", None) is not None:
-        kwargs["shards"] = args.shards
-    exec_mode = getattr(args, "shard_exec", None)
-    if exec_mode is not None:
-        kwargs["shard_exec"] = exec_mode
-        if exec_mode == "processes":
-            kwargs["rng_discipline"] = "per-host"
-    return replace(base, **kwargs) if kwargs else base
+    if args.shards is None:
+        return base
+    return replace(base, shards=args.shards, rng_discipline="per-host")
 
 
 def _load_shard_config(args):
@@ -1021,11 +994,8 @@ def _run_sweep_command(args) -> int:
     from .obs.export import write_json
     from .parallel import PoolConfig, SweepCheckpoint, resolve_jobs
 
-    base = _apply_shard_args(
-        _apply_policy_args(
-            replace(_scenario_base(args.scale, args.scheduler), defense=args.defense),
-            args,
-        ),
+    base = _apply_policy_args(
+        replace(_scenario_base(args.scale, args.scheduler), defense=args.defense),
         args,
     )
     values = _parse_sweep_values(base, args.field, args.values)
@@ -1295,14 +1265,10 @@ def _run_shardplan_command(args) -> int:
 
         out_path = write_json(args.out, plan)
     if args.emit_config:
-        from .experiments.scenarios import resolve_shards
         from .obs.export import write_json
 
-        n_shards = args.shards if args.shards is not None else (
-            resolve_shards() or 2
-        )
         try:
-            config = emit_shard_config(plan, n_shards)
+            config = emit_shard_config(plan, args.shards)
         except ShardPlanError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

@@ -137,13 +137,14 @@ def run_scenario_task(payload: Dict[str, Any]) -> Dict[str, Any]:
 
     params: TreeScenarioParams = payload["params"]
     requested = params
-    if params.shards > 1 and params.shard_exec == "processes":
+    if params.shards > 1:
         # A pool worker is already one process per task; forking shard
-        # workers underneath it would oversubscribe the machine.  Inline
-        # sharding is journal-identical, so demoting is result-neutral —
-        # the result keeps the *requested* params so serial and pooled
-        # sweeps still ship byte-identical artifacts.
-        params = replace(params, shard_exec="inline")
+        # workers underneath it would oversubscribe the machine.  One
+        # shard is the serial twin of a forked run (journal-identical),
+        # so demoting is result-neutral — the result keeps the
+        # *requested* params so serial and pooled sweeps still ship
+        # byte-identical artifacts.
+        params = replace(params, shards=1)
     telemetry = Telemetry() if payload.get("telemetry") else None
     if telemetry is not None:
         # at=0.0: the scenario's simulator clock starts there; a serial

@@ -16,7 +16,6 @@ which is what the reported shapes depend on.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Literal, Optional, Tuple
 
@@ -48,7 +47,7 @@ from ..traffic.policies import NULL_PROBES, BotEnv, DefenseProbes, make_policy
 __all__ = [
     "TreeScenarioParams",
     "TreeScenarioResult",
-    "resolve_shards",
+    "check_fork_envelope",
     "run_tree_scenario",
     "paper_scale",
     "PARAMETER_TABLE",
@@ -56,15 +55,6 @@ __all__ = [
 ]
 
 DefenseName = Literal["none", "pushback", "honeypot"]
-
-
-def resolve_shards(value: Optional[int] = None) -> int:
-    """Requested shard count: explicit value, else ``$REPRO_SHARDS``,
-    else 0 (serial).  Mirrors how ``--jobs``/``$REPRO_JOBS`` resolve."""
-    if value is not None:
-        return int(value)
-    env = os.environ.get("REPRO_SHARDS")
-    return int(env) if env else 0
 
 
 @dataclass(frozen=True)
@@ -123,15 +113,12 @@ class TreeScenarioParams:
     # the engine default (REPRO_SCHEDULER env var, else auto).  The
     # journal is byte-identical across policies (see repro.sim.engine).
     scheduler: Optional[str] = None
-    # Conservative sharded execution (repro.sim.shard).  ``shards`` is
-    # the requested shard count (0/1 = serial); degenerate cuts fall
-    # back to serial automatically.  ``shard_exec`` picks the mode:
-    # "inline" (single process, exact serial dispatch order, every
-    # scenario) or "processes" (forked workers, real parallelism,
-    # restricted to defense-free continuous workloads with per-host
-    # RNG).  The journal is byte-identical across all of these.
+    # Conservative sharded execution (repro.sim.shard.run_forked):
+    # ``shards`` is the requested shard count (0/1 = serial); more than
+    # one forks a worker per shard, which only the fork envelope
+    # (check_fork_envelope) admits.  Degenerate cuts fall back to
+    # serial.  The journal is byte-identical to the serial run.
     shards: int = 0
-    shard_exec: str = "inline"
     # RNG stream discipline: "shared" (legacy — one stream for all
     # clients, one for all attackers) or "per-host" (independent
     # derived stream per leaf, plus an attacker start stagger within
@@ -239,6 +226,43 @@ def _build_defense(
     raise ValueError(f"unknown defense {params.defense!r}")
 
 
+def check_fork_envelope(
+    params: TreeScenarioParams, stream=None, profile: bool = False
+) -> None:
+    """Raise ValueError unless ``params`` may run with ``shards > 1``.
+
+    Forked execution runs each shard's callbacks on a private copy of
+    the object graph, so it is restricted to workloads whose every
+    scheduled callback resolves to one shard and whose RNG draws are
+    independent of cross-shard interleaving.  ``shards`` of 0 or 1
+    always passes.
+    """
+    if params.shards < 0:
+        raise ValueError(f"shards must be >= 0 (got {params.shards})")
+    if params.shards <= 1:
+        return
+    blockers = []
+    if params.defense != "none":
+        blockers.append(f"defense={params.defense!r} (need 'none')")
+    if params.attacker_policy != "continuous":
+        blockers.append(
+            f"attacker_policy={params.attacker_policy!r} (need 'continuous')"
+        )
+    if params.n_amplifiers:
+        blockers.append(f"n_amplifiers={params.n_amplifiers} (need 0)")
+    if params.rng_discipline != "per-host":
+        blockers.append(f"rng_discipline={params.rng_discipline!r} (need 'per-host')")
+    if stream is not None:
+        blockers.append("live streaming (per-process)")
+    if profile:
+        blockers.append("profile dimensions (per-process)")
+    if blockers:
+        raise ValueError(
+            f"shards={params.shards} (forked execution) does not support: "
+            + "; ".join(blockers)
+        )
+
+
 def run_tree_scenario(
     params: TreeScenarioParams,
     telemetry=None,
@@ -267,41 +291,9 @@ def run_tree_scenario(
     (:func:`~repro.topology.tree.subtree_partition`).  Attribution only
     reads — journals stay byte-identical with profiling on or off.
     """
-    if params.shard_exec not in ("inline", "processes"):
-        raise ValueError(f"unknown shard_exec {params.shard_exec!r}")
     if params.rng_discipline not in ("shared", "per-host"):
         raise ValueError(f"unknown rng_discipline {params.rng_discipline!r}")
-    if params.shards < 0:
-        raise ValueError(f"shards must be >= 0 (got {params.shards})")
-    # shards=0 defers to $REPRO_SHARDS (shards=1 is an explicit serial
-    # request that the environment cannot override).
-    shards = params.shards if params.shards else resolve_shards()
-    if shards > 1 and params.shard_exec == "processes":
-        # Fork mode runs each shard's callbacks on a private copy of
-        # the object graph, so it is restricted to workloads whose
-        # every scheduled callback resolves to one shard and whose RNG
-        # draws are independent of cross-shard interleaving.
-        blockers = []
-        if params.defense != "none":
-            blockers.append(f"defense={params.defense!r} (need 'none')")
-        if params.attacker_policy != "continuous":
-            blockers.append(
-                f"attacker_policy={params.attacker_policy!r} (need 'continuous')"
-            )
-        if params.n_amplifiers:
-            blockers.append(f"n_amplifiers={params.n_amplifiers} (need 0)")
-        if params.rng_discipline != "per-host":
-            blockers.append(
-                f"rng_discipline={params.rng_discipline!r} (need 'per-host')"
-            )
-        if stream is not None:
-            blockers.append("live streaming (per-process)")
-        if profile:
-            blockers.append("profile dimensions (per-process)")
-        if blockers:
-            raise ValueError(
-                "shard_exec='processes' does not support: " + "; ".join(blockers)
-            )
+    check_fork_envelope(params, stream=stream, profile=profile)
     if not 0 <= params.n_attackers <= params.n_leaves:
         raise ValueError("n_attackers out of range")
     if params.n_attackers + params.n_amplifiers > params.n_leaves:
@@ -331,24 +323,15 @@ def run_tree_scenario(
     )
     topo = build_tree_topology(tree_params, rngs.stream("topology"))
     # Sharded execution: partition into per-AS subtrees; degenerate
-    # cuts (one effective shard / no positive lookahead) fall back to
-    # the plain serial loop.
+    # cuts (one effective shard / no positive lookahead) run serially.
     layout = None
-    if shards > 1:
+    if params.shards > 1:
         layout = shard_mod.shard_layout(
-            topo.graph, subtree_partition(topo), shards, config=shard_config
+            topo.graph, subtree_partition(topo), params.shards, config=shard_config
         )
-        if layout.n_groups < 2 or not (layout.lookahead or 0.0) > 0.0:
+        if not layout.parallel:
             layout = None
-    if layout is not None and params.shard_exec == "inline":
-        if profile:
-            raise ValueError(
-                "profile dimensions are per-event-loop; run without shards"
-            )
-        sim = shard_mod.ShardedSimulator(layout, scheduler=params.scheduler)
-    else:
-        sim = Simulator(scheduler=params.scheduler)
-    net = Network.from_graph(topo.graph, sim=sim)
+    net = Network.from_graph(topo.graph, sim=Simulator(scheduler=params.scheduler))
 
     attacker_ids, client_ids = assign_roles(
         topo, params.n_attackers, params.placement, rngs.stream("roles")
@@ -570,7 +553,7 @@ def run_tree_scenario(
 
     shard_stats: Optional[Dict[str, Any]] = None
     try:
-        if layout is not None and params.shard_exec == "processes":
+        if layout is not None:
             shard_stats = shard_mod.run_forked(net, layout, params.duration)
         else:
             net.run(until=params.duration)
@@ -609,9 +592,7 @@ def run_tree_scenario(
     if telemetry is not None:
         telemetry.snapshot_network(net)
         if shard_stats is not None:
-            telemetry.extra.setdefault("shard_exec", shard_stats)
-        if isinstance(net.sim, shard_mod.ShardedSimulator):
-            telemetry.extra.setdefault("shard_barrier", net.sim.barrier.stats())
+            telemetry.extra.setdefault("forked", shard_stats)
         telemetry.record_stats(defense.stats(), prefix=f"{defense.name}_")
         telemetry.extra.setdefault("throughput", monitor.to_dict())
         entry = {

@@ -3,9 +3,9 @@
 The full-scale paper scenarios push tens of millions of events; before
 any scaling work can be trusted we need to know where simulated time
 goes in wall-clock terms.  An :class:`EngineProfiler` attaches to a
-:class:`~repro.sim.engine.Simulator`; the engine then routes ``run()``
-through an instrumented copy of its event loop (the normal loop is
-untouched — a simulator without a profiler pays nothing).
+:class:`~repro.sim.engine.Simulator`; ``Simulator.run`` then arms its
+profiler observers at entry (a simulator without a profiler skips them
+with one test per event).
 
 Tracked per simulator, accumulated across ``run()`` calls:
 
@@ -21,9 +21,8 @@ where *kind* is the callback's qualified name, *module* its defining
 module (``repro.`` prefix trimmed), and *site* the topology location
 resolved from the callback's bound instance — the node address, mapped
 through an optional ``site_of`` partition function (e.g. per-AS subtree
-labels from :func:`repro.topology.tree.subtree_partition`).  Attribution
-runs in yet another loop copy (``Simulator._run_attributed``) so the
-plain and profiled loops stay untaxed; it only ever *reads* engine
+labels from :func:`repro.topology.tree.subtree_partition`).  The
+bracket (:meth:`EngineProfiler.attributor`) only ever *reads* engine
 state, so the causal journal is byte-identical with attribution on or
 off.
 """
@@ -54,8 +53,6 @@ class EngineProfiler:
         "heap_hwm",
         "dims",
         "site_of",
-        "kind_cache",
-        "site_cache",
     )
 
     def __init__(self) -> None:
@@ -68,16 +65,10 @@ class EngineProfiler:
         # dims maps (kind, module, site) -> [event count, wall seconds].
         self.dims: Optional[Dict[DimKey, List[float]]] = None
         self.site_of: Optional[Callable[[int], Optional[str]]] = None
-        # Per-function (kind, module) and per-instance site memos.  Keys
-        # are the objects themselves (never ``id()`` — ids are recycled
-        # by the allocator); the cached callables/instances live for the
-        # duration of the run anyway.
-        self.kind_cache: Dict[Any, Tuple[str, str]] = {}
-        self.site_cache: Dict[Any, str] = {}
 
     # ------------------------------------------------------------------
     def attach(self, sim: Any) -> "EngineProfiler":
-        """Route ``sim.run()`` through the instrumented loop."""
+        """Have ``sim.run()`` report to this profiler."""
         sim.profiler = self
         live = sim.pending(live=True)
         if live > self.heap_hwm:
@@ -98,8 +89,47 @@ class EngineProfiler:
             self.dims = {}
         if site_of is not None:
             self.site_of = site_of
-            self.site_cache.clear()
         return self
+
+    def attributor(self) -> Callable[[Callable[..., Any], tuple], None]:
+        """A per-event dispatcher: ``dispatch(fn, args)`` runs ``fn(*args)``
+        under a wall-clock timer and charges one event and the elapsed
+        seconds to its ``(kind, module, site)`` cell (nothing if it
+        raises).  ``Simulator.run`` takes one per run with dimensions on.
+        """
+        # reprolint: ignore[RPL002] -- self-profiling measures real wall
+        # time for repro.obs; it never feeds back into simulated state
+        from time import perf_counter
+
+        dims = self.dims
+        assert dims is not None, "enable_dimensions() first"
+        resolve = self.dimension_key
+        # Per-run memo of resolved keys.  Bound methods are fresh objects
+        # per schedule() call, so it is keyed by (underlying function,
+        # bound instance) — both stable and alive while their events are
+        # pending (never ``id()``: ids are recycled by the allocator).
+        memo: Dict[Any, DimKey] = {}
+
+        def dispatch(fn: Callable[..., Any], args: tuple) -> None:
+            t0 = perf_counter()  # reprolint: ignore[RPL002] -- profiler
+            fn(*args)
+            dt = perf_counter() - t0  # reprolint: ignore[RPL002]
+            ckey = (getattr(fn, "__func__", fn), getattr(fn, "__self__", None))
+            try:
+                key = memo.get(ckey)
+            except TypeError:  # unhashable instance: no memo
+                key = resolve(*ckey)
+            else:
+                if key is None:
+                    key = memo[ckey] = resolve(*ckey)
+            cell = dims.get(key)
+            if cell is None:
+                dims[key] = [1, dt]
+            else:
+                cell[0] += 1
+                cell[1] += dt
+
+        return dispatch
 
     def record_run(self, events: int, wall: float, sim_delta: float) -> None:
         """Called by the engine at the end of each profiled ``run()``."""
@@ -113,39 +143,19 @@ class EngineProfiler:
             self.heap_hwm = depth
 
     # ------------------------------------------------------------------
-    # Dimension resolution (miss path of the attributed loop's caches)
+    # Dimension resolution (miss path of the attributor's memo)
     # ------------------------------------------------------------------
-    def dimension_kind(self, fn: Callable[..., Any]) -> Tuple[str, str]:
-        """``(kind, module)`` for a dispatched callback (memoized)."""
-        func = getattr(fn, "__func__", fn)
-        cached = self.kind_cache.get(func)
-        if cached is None:
-            cached = (
-                getattr(func, "__qualname__", repr(func)),
-                _trim_module(getattr(func, "__module__", None) or "?"),
-            )
-            self.kind_cache[func] = cached
-        return cached
-
-    def dimension_site(self, fn: Callable[..., Any]) -> str:
-        """Topology site label for a callback's bound instance.
-
-        Resolution: the instance's own ``addr``; else the ``addr`` of a
-        referenced node (``dst`` for channels, then ``host`` / ``router``
-        / ``node`` / ``owner``); plain functions and unplaced objects
-        land on ``-`` / the class name.  Addresses map through
-        ``site_of`` when set.
-        """
-        inst = getattr(fn, "__self__", None)
+    def dimension_key(self, func: Any, inst: Any) -> DimKey:
+        """``(kind, module, site)`` of a callback's function and bound
+        instance.  The site is the instance's ``addr``, else that of a
+        node it references (``dst`` for channels, then ``host`` /
+        ``router`` / ``node`` / ``owner``), mapped through ``site_of``
+        when set; plain functions and unplaced objects land on ``-`` /
+        the class name."""
+        kind = getattr(func, "__qualname__", repr(func))
+        module = _trim_module(getattr(func, "__module__", None) or "?")
         if inst is None:
-            return "-"
-        cache: Optional[Dict[Any, str]] = self.site_cache
-        try:
-            cached = self.site_cache.get(inst)
-        except TypeError:  # unhashable instance: resolve every time
-            cached, cache = None, None
-        if cached is not None:
-            return cached
+            return (kind, module, "-")
         addr: Optional[int] = getattr(inst, "addr", None)
         if addr is None:
             for ref in ("dst", "host", "router", "node", "owner"):
@@ -155,14 +165,9 @@ class EngineProfiler:
                     if addr is not None:
                         break
         if addr is None:
-            site = type(inst).__name__
-        else:
-            site_of = self.site_of
-            label = site_of(addr) if site_of is not None else None
-            site = label if label is not None else f"n{addr}"
-        if cache is not None:
-            cache[inst] = site
-        return site
+            return (kind, module, type(inst).__name__)
+        label = self.site_of(addr) if self.site_of is not None else None
+        return (kind, module, label if label is not None else f"n{addr}")
 
     # ------------------------------------------------------------------
     # Merging (pooled runs: repro.parallel.merge.absorb_artifact)

@@ -260,9 +260,9 @@ def emit_shard_config(doc: Dict[str, Any], n_shards: int) -> Dict[str, Any]:
 
     Labels from the plan's ``shards`` table are greedy bin-packed onto
     ``n_shards`` groups by descending causal work (``core`` pinned to
-    group 0, matching the engine's coordinator shard); the engine's
-    ``make_sharded_simulator`` then honours this mapping for every
-    label it recognizes in its own partition.
+    group 0, matching the forked coordinator's shard);
+    :func:`repro.sim.shard.shard_layout` then honours this mapping for
+    every label it recognizes in its own partition.
     """
     summary = validate_shardplan(doc)
     if n_shards < 1:

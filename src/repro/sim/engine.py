@@ -29,12 +29,16 @@ process abstraction.  Helper classes (:class:`Timer`,
 protocols need.
 
 Allocation relief: dispatched :class:`Event` objects are recycled
-through a per-simulator freelist (``REPRO_EVENT_FREELIST=0`` disables).
+through a per-simulator freelist of at most ``_FREELIST_MAX`` entries.
 The contract is that an Event handle is only meaningful until its
 callback has run — cancelling after that is a no-op on the handle, but
 holders must drop fired-event references promptly (every in-tree holder
 reassigns or clears on fire) because the object may be reissued by a
 later ``schedule()``.
+
+:meth:`Simulator.run` is the single dispatch loop.  Observers — the
+engine profiler, the live streamer, per-event attribution — are picked
+once at ``run()`` entry, so an unobserved run pays only for the loop.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ from __future__ import annotations
 import os
 from typing import Any, Callable, List, Optional, Sequence, Union
 
-from .barrier import BarrierError, ClockBarrier
 from .scheduler import (
     AUTO_CALENDAR_THRESHOLD,
     CalendarQueueScheduler,
@@ -55,8 +58,6 @@ __all__ = [
     "Simulator",
     "Timer",
     "SimulationError",
-    "BarrierError",
-    "ClockBarrier",
 ]
 
 # Cap on recycled Event objects kept per simulator; bounds memory after
@@ -139,9 +140,8 @@ class Simulator:
         self.events_processed: int = 0
         # Live (non-cancelled) pending events; see pending(live=True).
         self._live: int = 0
-        # Self-profiling (repro.obs.EngineProfiler.attach sets this).
-        # run() dispatches to an instrumented copy of the loop when a
-        # profiler is attached, so the normal loop pays nothing.
+        # Self-profiling (repro.obs.EngineProfiler.attach sets this):
+        # run() arms its profiler observers when one is attached.
         self.profiler: Optional[Any] = None
         # Flight recorder (repro.obs.Telemetry.bind sets this): run()
         # brackets each invocation with sim_run_start/sim_run_end
@@ -151,7 +151,7 @@ class Simulator:
         # for low-rate operational counters such as timer_jitter_clamped.
         self.metrics: Optional[Any] = None
         # Live streamer (repro.obs.stream.TelemetryStreamer.attach sets
-        # this): the instrumented loop pulses it at stride boundaries.
+        # this): run() pulses it at stride boundaries.
         # Snapshots only read engine state — never schedule events —
         # so the journal is identical with or without a stream.
         self.stream: Optional[Any] = None
@@ -187,11 +187,6 @@ class Simulator:
 
         # Event freelist (allocation relief on the hot path).
         self._free: List[Event] = []
-        self._free_max = (
-            0
-            if os.environ.get("REPRO_EVENT_FREELIST", "1") in ("0", "false", "no")
-            else _FREELIST_MAX
-        )
 
         # Optional packet recycling pool (repro.sim.packet.PacketPool).
         # Off by default: consumers that retain packet references past
@@ -336,6 +331,17 @@ class Simulator:
 
         Runs until the scheduler is empty, or until the clock would pass
         ``until`` (the clock is then advanced to exactly ``until``).
+
+        This is the engine's only dispatch loop.  Observers are chosen
+        once, here at entry: an attached profiler (heap high-water mark,
+        per-run wall time) and/or live streamer (pulsed once per
+        ``check_stride`` dispatched events) sit behind one ``watch``
+        test after each callback, and the profiler's per-event
+        dimensional attribution, when enabled, wraps the callback itself
+        (:meth:`repro.obs.profile.EngineProfiler.attributor`).  With no
+        observer attached the loop pays two local tests per event.
+        Observers only read engine state, so the journal is
+        byte-identical with any combination of them.
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
@@ -344,22 +350,29 @@ class Simulator:
             before = self.events_processed
             journal.record("sim_run_start", pending=self._live)
         prof = self.profiler
-        if prof is not None and prof.dims is not None:
-            self._run_attributed(until)
-        elif prof is not None or self.stream is not None:
-            self._run_profiled(until)
-        else:
-            self._run_plain(until)
-        if journal is not None:
-            journal.record(
-                "sim_run_end", events=self.events_processed - before
-            )
+        stream = self.stream
+        watch = prof is not None or stream is not None
+        attribute = (
+            prof.attributor() if prof is not None and prof.dims is not None else None
+        )
+        pulse = stream.pulse if stream is not None else None
+        # Stream pulse cadence: the pulse fires when `processed` is a
+        # multiple of the stream's power-of-two check stride.
+        smask = stream.check_mask if stream is not None else 0
+        sbase = self.events_processed
+        hwm = self._live
+        sim_start = self.now
+        if prof is not None:
+            # reprolint: ignore[RPL002] -- self-profiling measures real
+            # wall time for repro.obs; it never feeds back into simulated
+            # state
+            from time import perf_counter
 
-    def _run_plain(self, until: Optional[float] = None) -> None:
+            wall_start = perf_counter()  # reprolint: ignore[RPL002] -- profiler
         self._running = True
         self._stopped = False
         free = self._free
-        free_max = self._free_max
+        free_max = _FREELIST_MAX  # a local: read on every dispatch
         # Sentinel instead of a per-event None test; time > inf is never
         # true, so the untimed loop pays one float compare.
         limit = float("inf") if until is None else until
@@ -384,7 +397,10 @@ class Simulator:
                     continue
                 self._live -= 1
                 self.now = time
-                ev.fn(*ev.args)
+                if attribute is not None:
+                    attribute(ev.fn, ev.args)
+                else:
+                    ev.fn(*ev.args)
                 processed += 1
                 # Retire only after the callback returns: a callback may
                 # legitimately cancel the very event that is firing (a
@@ -394,69 +410,13 @@ class Simulator:
                     ev.fn = _retired
                     ev.args = ()
                     free.append(ev)
-                if self._stopped:
-                    break
-            if until is not None and not self._stopped and self.now < until:
-                self.now = until
-        finally:
-            self._running = False
-            self.events_processed += processed
-
-    def _run_profiled(self, until: Optional[float] = None) -> None:
-        """The same event loop as :meth:`run`, instrumented for the
-        attached profiler (wall-clock timing, live pending high-water
-        mark) and/or live streamer (pulsed once per ``check_stride``
-        dispatched events — a bitmask test on the hot path).  Kept as a
-        separate copy so the uninstrumented loop carries zero cost."""
-        # reprolint: ignore[RPL002] -- self-profiling measures real wall
-        # time for repro.obs; it never feeds back into simulated state
-        from time import perf_counter
-
-        prof = self.profiler
-        stream = self.stream
-        # Stream pulse cadence: the pulse fires when `processed` is a
-        # multiple of the stream's power-of-two check stride.
-        smask = stream.check_mask if stream is not None else 0
-        sbase = self.events_processed
-        self._running = True
-        self._stopped = False
-        free = self._free
-        free_max = self._free_max
-        processed = 0
-        hwm = self._live
-        sim_start = self.now
-        limit = float("inf") if until is None else until
-        wall_start = perf_counter()  # reprolint: ignore[RPL002] -- profiler
-        try:
-            while True:
-                if self._live > hwm:
-                    hwm = self._live
-                sched = self._sched
-                entry = sched.pop()
-                if entry is None:
-                    break
-                time = entry[0]
-                if time > limit:
-                    sched.push(entry)
-                    break
-                ev = entry[2]
-                ev._queued = False
-                if ev.cancelled:
-                    if len(free) < free_max:
-                        ev.fn = _retired
-                        ev.args = ()
-                        free.append(ev)
-                    continue
-                self._live -= 1
-                self.now = time
-                ev.fn(*ev.args)
-                processed += 1
-                if len(free) < free_max:
-                    ev.fn = _retired
-                    ev.args = ()
-                    free.append(ev)
-                if stream is not None and (processed & smask) == 0:
-                    stream.pulse(self, sbase + processed)
+                if watch:
+                    # _live here is the pending population the next
+                    # iteration starts from, i.e. its high-water sample.
+                    if self._live > hwm:
+                        hwm = self._live
+                    if pulse is not None and (processed & smask) == 0:
+                        pulse(self, sbase + processed)
                 if self._stopped:
                     break
             if until is not None and not self._stopped and self.now < until:
@@ -471,108 +431,9 @@ class Simulator:
                     perf_counter() - wall_start,  # reprolint: ignore[RPL002]
                     self.now - sim_start,
                 )
-
-    def _run_attributed(self, until: Optional[float] = None) -> None:
-        """The profiled loop plus per-event dimensional attribution.
-
-        Chosen by :meth:`run` when the attached profiler has dimensions
-        enabled (:meth:`repro.obs.profile.EngineProfiler
-        .enable_dimensions`): each callback is bracketed with a
-        wall-clock timer and charged to its ``(kind, module, site)``
-        cell.  A third loop copy so neither the plain loop nor the
-        ordinary profiled/streamed loop (whose overhead is gated by
-        ``bench_stream_overhead``) pays for the per-event bookkeeping.
-        Attribution only reads engine state — it never schedules events
-        or touches the journal, so journals are byte-identical with
-        attribution on or off (gated by ``bench_profile_overhead``).
-        """
-        # reprolint: ignore[RPL002] -- self-profiling measures real wall
-        # time for repro.obs; it never feeds back into simulated state
-        from time import perf_counter
-
-        prof = self.profiler
-        assert prof is not None and prof.dims is not None
-        dims = prof.dims
-        kind_of = prof.dimension_kind
-        site_of = prof.dimension_site
-        # Per-callback memo for the fully resolved dimension key.  Bound
-        # methods are fresh objects per schedule() call, so the memo is
-        # keyed by (underlying function, bound instance) — both stable
-        # and already alive while their events are pending.
-        key_cache: dict = {}
-        stream = self.stream
-        smask = stream.check_mask if stream is not None else 0
-        sbase = self.events_processed
-        self._running = True
-        self._stopped = False
-        free = self._free
-        free_max = self._free_max
-        processed = 0
-        hwm = self._live
-        sim_start = self.now
-        limit = float("inf") if until is None else until
-        wall_start = perf_counter()  # reprolint: ignore[RPL002] -- profiler
-        try:
-            while True:
-                if self._live > hwm:
-                    hwm = self._live
-                sched = self._sched
-                entry = sched.pop()
-                if entry is None:
-                    break
-                time = entry[0]
-                if time > limit:
-                    sched.push(entry)
-                    break
-                ev = entry[2]
-                ev._queued = False
-                if ev.cancelled:
-                    if len(free) < free_max:
-                        ev.fn = _retired
-                        ev.args = ()
-                        free.append(ev)
-                    continue
-                self._live -= 1
-                self.now = time
-                fn = ev.fn
-                t0 = perf_counter()  # reprolint: ignore[RPL002] -- profiler
-                fn(*ev.args)
-                dt = perf_counter() - t0  # reprolint: ignore[RPL002]
-                processed += 1
-                ckey = (getattr(fn, "__func__", fn), getattr(fn, "__self__", None))
-                try:
-                    key = key_cache.get(ckey)
-                except TypeError:  # unhashable instance: no memo
-                    ckey = key = None
-                if key is None:
-                    kind, module = kind_of(fn)
-                    key = (kind, module, site_of(fn))
-                    if ckey is not None:
-                        key_cache[ckey] = key
-                cell = dims.get(key)
-                if cell is None:
-                    dims[key] = [1, dt]
-                else:
-                    cell[0] += 1
-                    cell[1] += dt
-                if len(free) < free_max:
-                    ev.fn = _retired
-                    ev.args = ()
-                    free.append(ev)
-                if stream is not None and (processed & smask) == 0:
-                    stream.pulse(self, sbase + processed)
-                if self._stopped:
-                    break
-            if until is not None and not self._stopped and self.now < until:
-                self.now = until
-        finally:
-            self._running = False
-            self.events_processed += processed
-            prof.note_heap(hwm)
-            prof.record_run(
-                processed,
-                perf_counter() - wall_start,  # reprolint: ignore[RPL002]
-                self.now - sim_start,
+        if journal is not None:
+            journal.record(
+                "sim_run_end", events=self.events_processed - before
             )
 
     def stop(self) -> None:
@@ -585,11 +446,11 @@ class Simulator:
         Lazily-cancelled entries at the head are discarded on the way —
         the same skip the event loop would perform — so the answer is
         the time of the next event that will actually fire.  This is the
-        per-shard clock promise the conservative sharded mode
-        (:mod:`repro.sim.shard`) exchanges at barrier points: a shard
-        whose ``peek_time()`` is ``t`` cannot cause any effect anywhere
-        before ``t``, and cannot deliver across a boundary channel
-        before ``t + lookahead``.
+        per-shard clock promise forked sharded workers
+        (:func:`repro.sim.shard.run_forked`) exchange at window
+        boundaries: a shard whose ``peek_time()`` is ``t`` cannot cause
+        any effect anywhere before ``t``, and cannot deliver across a
+        boundary channel before ``t + lookahead``.
         """
         sched = self._sched
         while True:

@@ -25,7 +25,7 @@ scheduler seam when the channel schedules its delivery-side callback
 (``_fused_done`` on the fused path, ``_deliver`` on the classic one)
 and carried to the destination shard as a message.  That works because
 (a) every delivery is scheduled at least ``tx_time + delay > delay``
-ahead of ``now``, which is what gives the conservative barrier its
+ahead of ``now``, which is what gives the conservative windows their
 lookahead, and (b) this module never stores the delivery event handle —
 queueing, busy-tracking, and tail-drop accounting all stay on the
 sending side, so diverting the callback loses nothing.  Keep both

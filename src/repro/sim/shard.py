@@ -2,46 +2,28 @@
 
 The tree topology is partitioned into per-AS subtree shards (the
 ``subtree_partition`` cut the :mod:`repro.obs.shardplan` advisor costs
-out); each shard owns the events of its nodes, cross-shard channels
-become message-passing boundaries, and a :class:`~repro.sim.barrier.
-ClockBarrier` bounds every shard's safe-advance window to
-``min(incoming channel clocks) + lookahead`` — the classic
+out); each shard owns the events of its nodes and cross-shard channels
+become message-passing boundaries.  Every shard's safe-advance window
+is ``min(next-event clocks) + lookahead`` — the classic
 Chandy–Misra/Bryant conservative condition, with lookahead equal to the
 minimum inter-shard link latency.
 
-Two execution modes share the same partition, barrier algebra and
-journal-merge proof:
-
-``inline`` (:class:`ShardedSimulator`)
-    One process, per-shard event queues, and a k-way frontier merge that
-    dispatches in exact global ``(time, seq)`` order — the same total
-    order as the serial engine, so the journal is byte-identical *by
-    construction* for every scenario, defenses included.  The barrier
-    runs in non-strict mode validating every dispatch; its violation
-    counter is the regression witness, and every dispatch is stamped
-    with a ``(dispatch_index, ordinal, shard)`` origin so
-    :func:`repro.parallel.merge.split_journal_by_origin` /
-    ``merge_shard_journals`` can prove the per-shard journals reassemble
-    to the serial bytes.
-
-``processes`` (:func:`run_forked`)
-    Real parallelism.  The fully built scenario forks one worker per
-    shard (copy-on-write: every worker holds the whole object graph but
-    re-filters its scheduler to its own shard's events).  Cross-shard
-    *delivery* schedules are intercepted at the engine's scheduler seam
-    (``Simulator._shunt``): a boundary send at ``t_s`` schedules its
-    delivery at ``t_d = t_s + tx + delay > t_s + lookahead``, so the
-    capture happens at send time — when the lookahead guarantee is
-    real — and ships to the receiving worker at the next window
-    exchange.  Workers advance in lockstep windows of width
-    ``lookahead``: each round the coordinator gathers every worker's
-    next-event time ``h``, computes the global horizon
-    ``e = min(until, min(h) + lookahead)``, distributes pending
-    boundary deliveries, and everyone runs ``run(until=e)`` in
-    parallel.  Any send inside a window lands strictly after the next
-    window's start (``t_d > e``), which is the safety proof; positive
-    lookahead means the globally earliest event is always dispatchable,
-    which is the liveness proof.
+:func:`run_forked` is the execution backend.  The fully built scenario
+forks one worker per shard (copy-on-write: every worker holds the whole
+object graph but re-filters its scheduler to its own shard's events).
+Cross-shard *delivery* schedules are intercepted at the engine's
+scheduler seam (``Simulator._shunt``): a boundary send at ``t_s``
+schedules its delivery at ``t_d = t_s + tx + delay > t_s + lookahead``,
+so the capture happens at send time — when the lookahead guarantee is
+real — and ships to the receiving worker at the next window exchange.
+Workers advance in lockstep windows of width ``lookahead``: each round
+the coordinator gathers every worker's next-event time ``h``, computes
+the global horizon ``e = min(until, min(h) + lookahead)``, distributes
+pending boundary deliveries, and everyone runs ``run(until=e)`` in
+parallel.  Any send inside a window lands strictly after the next
+window's start (``t_d > e``), which is the safety proof; positive
+lookahead means the globally earliest event is always dispatchable,
+which is the liveness proof.
 
 All channel mechanics — serializer busy state, queueing, tail drops,
 drop accounting — run on the *real* channel objects in the sending
@@ -56,12 +38,10 @@ from __future__ import annotations
 import json
 import os
 import traceback
-from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .barrier import ClockBarrier
-from .engine import Event, Simulator, SimulationError, Timer
+from .engine import Simulator, SimulationError, Timer
 from .link import Channel
 
 __all__ = [
@@ -70,8 +50,6 @@ __all__ = [
     "shard_layout",
     "plan_groups",
     "resolve_group",
-    "make_sharded_simulator",
-    "ShardedSimulator",
     "run_forked",
     "load_shard_config",
 ]
@@ -153,15 +131,21 @@ class ShardLayout:
     ``[0, n_groups)``; shard 0 always contains the ``core`` label (the
     root/bottleneck/servers), because the fork-mode coordinator runs
     shard 0 in-process.  ``lookahead`` is the minimum latency over
-    cross-shard edges, or None when the partition has no cross edges
-    (degenerate single-shard case — callers fall back to serial).
+    cross-shard edges, or None when the partition has no cross edges.
     """
 
     addr_group: Dict[int, int]
     label_group: Dict[str, int]
     n_groups: int
     lookahead: Optional[float]
-    group_labels: List[str] = field(default_factory=list)
+
+    @property
+    def parallel(self) -> bool:
+        """Whether the cut can run sharded: at least two shards joined
+        by positive-latency edges.  Degenerate cuts (one effective
+        shard, no cross edges, zero lookahead) run on the serial
+        engine instead."""
+        return self.n_groups > 1 and (self.lookahead or 0.0) > 0.0
 
 
 def plan_groups(
@@ -245,288 +229,37 @@ def shard_layout(
         delay = float(data.get("delay", 0.0))
         if lookahead is None or delay < lookahead:
             lookahead = delay
-    n_groups = len(used)
     return ShardLayout(
         addr_group=addr_group,
         label_group=label_group,
-        n_groups=n_groups,
+        n_groups=len(used),
         lookahead=lookahead,
-        group_labels=[f"shard{i}" for i in range(n_groups)],
     )
 
 
-def make_sharded_simulator(
-    graph: Any,
-    part: Dict[int, str],
-    n_shards: int,
-    *,
-    scheduler: Any = None,
-    config: Optional[Dict[str, Any]] = None,
-) -> Simulator:
-    """A simulator for this partition — sharded when the cut supports it.
-
-    Degenerate cuts (one effective shard, no cross edges, or
-    non-positive lookahead) fall back to the plain serial
-    :class:`Simulator` instead of spawning a barrier with zero peers.
-    """
-    layout = shard_layout(graph, part, n_shards, config=config)
-    if layout.n_groups <= 1 or not (layout.lookahead or 0.0) > 0.0:
-        return Simulator(scheduler=scheduler)
-    return ShardedSimulator(layout, scheduler=scheduler)
-
-
 def load_shard_config(path: str) -> Dict[str, Any]:
-    """Read and minimally validate a ``repro.shardconfig/1`` file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    schema = doc.get("schema")
+    """Read and minimally validate a ``repro.shardconfig/1`` file.
+
+    Every defect — unreadable file, non-JSON, wrong schema, missing
+    ``groups`` mapping, non-integer group id — raises :class:`ShardError`.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ShardError(f"{path}: unreadable shard config ({exc})") from exc
+    schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema != "repro.shardconfig/1":
         raise ShardError(f"{path}: not a repro.shardconfig/1 document ({schema!r})")
     groups = doc.get("groups")
     if not isinstance(groups, dict) or not groups:
         raise ShardError(f"{path}: shard config has no 'groups' mapping")
+    for label, group in groups.items():
+        if isinstance(group, bool) or not isinstance(group, int):
+            raise ShardError(
+                f"{path}: group of {label!r} must be an integer (got {group!r})"
+            )
     return doc
-
-
-# ----------------------------------------------------------------------
-# Inline windowed-conservative engine
-# ----------------------------------------------------------------------
-class ShardedSimulator(Simulator):
-    """Single-process sharded engine dispatching in exact serial order.
-
-    Events live in one binary heap per shard; a lazy frontier heap of
-    ``(head_time, head_seq, shard)`` picks the globally earliest head
-    each step, so the dispatch sequence — and therefore the journal —
-    is identical to the serial engine's for *every* scenario.  The
-    :class:`ClockBarrier` (non-strict) validates each dispatch against
-    the conservative invariants and accounts cross-shard schedules;
-    ``barrier.violations``/``barrier.acausal_cross`` are the regression
-    witnesses the golden suites pin to zero.
-    """
-
-    def __init__(
-        self,
-        layout: ShardLayout,
-        *,
-        scheduler: Any = None,
-        packet_pool: Any = None,
-    ) -> None:
-        if layout.n_groups < 2:
-            raise ShardError(
-                "ShardedSimulator needs >= 2 shards; use make_sharded_simulator "
-                "for the serial fallback"
-            )
-        if layout.lookahead is None or not layout.lookahead > 0.0:
-            raise ShardError(
-                f"cut lookahead must be strictly positive (got {layout.lookahead})"
-            )
-        super().__init__(scheduler=scheduler, packet_pool=packet_pool)
-        # The base scheduler structure is unused (and auto-migration is
-        # disabled): pending events live in the per-shard heaps below.
-        self._auto = False
-        self.layout = layout
-        self.addr_group = layout.addr_group
-        self.n_groups = layout.n_groups
-        self.barrier = ClockBarrier(
-            layout.group_labels, float(layout.lookahead), strict=False
-        )
-        self._queues: List[List[Tuple[float, int, Event]]] = [
-            [] for _ in range(layout.n_groups)
-        ]
-        self._frontier: List[Tuple[float, int, int]] = []
-        self._group_cache: Dict[Any, int] = {}
-        # Journal-origin state: which dispatch we are inside, which
-        # shard executes it, and a per-dispatch record ordinal.
-        self._exec_group = -1
-        self._dispatch_index = 0
-        self._origin_serial = 0
-
-    # -- scheduling ----------------------------------------------------
-    def _group_of(self, fn: Callable[..., Any]) -> int:
-        ckey = (getattr(fn, "__func__", fn), getattr(fn, "__self__", None))
-        try:
-            g = self._group_cache.get(ckey)
-        except TypeError:  # unhashable bound instance: no memo
-            return resolve_group(fn, self.addr_group, 0)
-        if g is None:
-            g = resolve_group(fn, self.addr_group, 0)
-            self._group_cache[ckey] = g
-        return g
-
-    def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule at t={time} before current time t={self.now}"
-            )
-        free = self._free
-        if free:
-            ev = free.pop()
-            ev.time = time
-            ev.fn = fn
-            ev.args = args
-            ev.cancelled = False
-        else:
-            ev = Event(time, fn, args)
-        ev._queued = True
-        ev._sim = self
-        self._seq += 1
-        seq = self._seq
-        g = self._group_of(fn)
-        xg = self._exec_group
-        if xg >= 0 and g != xg:
-            # A dispatching shard scheduled into a peer: in a real
-            # message-passing run this must ride a boundary channel,
-            # i.e. t >= now + lookahead.  Count (don't fail) — the
-            # golden suites assert acausal_cross == 0 for planner cuts.
-            self.barrier.note_cross(xg, g, time, self.now)
-        q = self._queues[g]
-        entry = (time, seq, ev)
-        heappush(q, entry)
-        if q[0] is entry:
-            # New head for this shard: surface it on the frontier.  The
-            # displaced head's frontier entry goes stale and is lazily
-            # discarded by the dispatch loop's seq check.
-            heappush(self._frontier, (time, seq, g))
-        self._live += 1
-        return ev
-
-    def schedule_many(
-        self, times: Sequence[float], fn: Callable[..., Any], *args: Any
-    ) -> List[Event]:
-        # Semantically `[schedule_at(t, fn, *args) for t in times]`, which
-        # is exactly what the base-class contract promises.
-        return [self.schedule_at(t, fn, *args) for t in times]
-
-    # -- introspection -------------------------------------------------
-    def peek_time(self) -> float:
-        best = _INF
-        for q in self._queues:
-            # Cancelled heads make the promise conservatively early,
-            # which is always safe for a clock promise.
-            if q and q[0][0] < best:
-                best = q[0][0]
-        return best
-
-    def pending(self, live: bool = False) -> int:
-        if live:
-            return self._live
-        return sum(len(q) for q in self._queues)
-
-    # -- journal origin ------------------------------------------------
-    def _origin(self) -> Tuple[int, int, int]:
-        n = self._origin_serial
-        self._origin_serial = n + 1
-        g = self._exec_group
-        return (self._dispatch_index, n, g if g >= 0 else 0)
-
-    def run(self, until: Optional[float] = None) -> None:
-        journal = self.journal
-        if journal is not None and getattr(journal, "origin", None) is None:
-            journal.origin = self._origin
-        super().run(until)
-
-    # -- dispatch loops ------------------------------------------------
-    def _run_plain(self, until: Optional[float] = None) -> None:
-        self._run_sharded(until, None, None)
-
-    def _run_profiled(self, until: Optional[float] = None) -> None:
-        self._run_sharded(until, self.profiler, self.stream)
-
-    def _run_attributed(self, until: Optional[float] = None) -> None:
-        raise ShardError(
-            "per-event profile dimensions are not supported with inline "
-            "sharded execution; run without --shards to attribute wall time"
-        )
-
-    def _run_sharded(
-        self, until: Optional[float], prof: Optional[Any], stream: Optional[Any]
-    ) -> None:
-        """The k-way frontier merge loop.
-
-        Mirrors the base engine's ``_run_plain``/``_run_profiled``
-        semantics (freelist retirement, stop(), clock advance to
-        ``until``) with per-shard queues and barrier validation.
-        """
-        # reprolint: ignore[RPL002] -- self-profiling wall time only
-        from time import perf_counter
-
-        self._running = True
-        self._stopped = False
-        free = self._free
-        free_max = self._free_max
-        limit = _INF if until is None else until
-        barrier = self.barrier
-        frontier = self._frontier
-        queues = self._queues
-        processed = 0
-        hwm = self._live
-        sim_start = self.now
-        smask = stream.check_mask if stream is not None else 0
-        sbase = self.events_processed
-        wall_start = perf_counter() if prof is not None else 0.0  # reprolint: ignore[RPL002]
-        try:
-            while frontier:
-                if prof is not None and self._live > hwm:
-                    hwm = self._live
-                t, seq, g = frontier[0]
-                q = queues[g]
-                if not q or q[0][1] != seq:
-                    # Stale frontier entry (its event was dispatched or
-                    # displaced); the live head has its own entry.
-                    heappop(frontier)
-                    continue
-                if t > limit:
-                    break
-                heappop(frontier)
-                entry = heappop(q)
-                if q:
-                    head = q[0]
-                    heappush(frontier, (head[0], head[1], g))
-                ev = entry[2]
-                ev._queued = False
-                if ev.cancelled:
-                    if len(free) < free_max:
-                        ev.fn = _noop
-                        ev.args = ()
-                        free.append(ev)
-                    continue
-                # Global (t, seq) order makes the global clock a valid
-                # promise for every shard; check_dispatch then verifies
-                # timestamp order and the safe window, and counts.
-                barrier.advance_clock(t)
-                barrier.check_dispatch(g, t)
-                self._live -= 1
-                self.now = t
-                self._exec_group = g
-                self._dispatch_index += 1
-                self._origin_serial = 0
-                ev.fn(*ev.args)
-                processed += 1
-                if len(free) < free_max:
-                    ev.fn = _noop
-                    ev.args = ()
-                    free.append(ev)
-                if stream is not None and (processed & smask) == 0:
-                    stream.pulse(self, sbase + processed)
-                if self._stopped:
-                    break
-            if until is not None and not self._stopped and self.now < until:
-                self.now = until
-        finally:
-            self._exec_group = -1
-            self._running = False
-            self.events_processed += processed
-            if prof is not None:
-                prof.note_heap(hwm)
-                prof.record_run(
-                    processed,
-                    perf_counter() - wall_start,  # reprolint: ignore[RPL002]
-                    self.now - sim_start,
-                )
-
-
-def _noop() -> None:  # pragma: no cover - freelist placeholder
-    """Parked on retired events (mirrors engine._retired)."""
 
 
 # ----------------------------------------------------------------------
@@ -712,10 +445,11 @@ def run_forked(net: Any, layout: ShardLayout, until: float) -> Dict[str, Any]:
     sim = net.sim
     n = layout.n_groups
     lookahead = layout.lookahead
-    if n < 2:
-        raise ShardError("run_forked needs >= 2 shards (serial fallback upstream)")
-    if lookahead is None or not lookahead > 0.0:
-        raise ShardError(f"cut lookahead must be positive (got {lookahead})")
+    if not layout.parallel:
+        raise ShardError(
+            f"run_forked needs >= 2 shards and a positive lookahead (got "
+            f"{n} shard(s), lookahead {lookahead}); run degenerate cuts serially"
+        )
     if not until == until or until == _INF:  # NaN / inf guard
         raise ShardError(f"run_forked needs a finite horizon (got {until})")
     if sim._running:

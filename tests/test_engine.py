@@ -159,3 +159,85 @@ def test_property_events_always_fire_in_nondecreasing_time(delays):
     sim.run()
     assert seen == sorted(seen)
     assert len(seen) == len(delays)
+
+
+OBSERVERS = ("none", "profiler", "dimensions", "streamer")
+
+
+def _observe(sim, observers, tmp_path):
+    """Arm one observer configuration of ``Simulator.run`` on ``sim``."""
+    from repro.obs import Telemetry
+    from repro.obs.profile import EngineProfiler
+    from repro.obs.stream import StreamConfig, TelemetryStreamer
+
+    if observers in ("profiler", "dimensions"):
+        prof = EngineProfiler().attach(sim)
+        if observers == "dimensions":
+            prof.enable_dimensions()
+        return prof
+    if observers == "streamer":
+        config = StreamConfig(
+            str(tmp_path / "s.jsonl"), interval=0.5, wall_cap=None, check_stride=1
+        )
+        return TelemetryStreamer(Telemetry(), config).attach(sim)
+    return None
+
+
+def _exercise(sim):
+    """Drive every loop path; return what an observer must not change."""
+    out = {}
+    log = []
+    doomed = sim.schedule(0.5, log.append, "doomed")
+    doomed.cancel()
+
+    def burst():
+        log.append(("burst", sim.now))
+        for i in range(5):
+            sim.schedule(0.1 * (i + 1), log.append, ("b", i))
+
+    sim.schedule(1.0, burst)
+    holder = []
+    holder.append(
+        sim.every(0.75, lambda: (log.append(("tick", sim.now)), holder[0].cancel()))
+    )
+    sim.schedule(5.0, log.append, "late")
+    sim.run(until=3.0)
+    out["until"] = (sim.now, sim.pending(live=True), sim.pending(), sim.events_processed)
+    # The cancelled event was skipped and parked on the freelist.
+    out["recycled"] = any(ev is doomed for ev in sim._free)
+    sim.schedule(1.0, lambda: (log.append("stop"), sim.stop()))
+    sim.schedule(1.0, log.append, "after-stop")
+    sim.run()
+    out["stop"] = (sim.now, sim.pending(live=True), sim.events_processed)
+    sim.run()
+    out["drain"] = (sim.now, sim.pending(live=True), sim.events_processed)
+    out["log"] = log
+    return out
+
+
+class TestSingleLoopObservers:
+    """``Simulator.run`` is the only dispatch loop: every observer
+    configuration must see identical dispatch semantics."""
+
+    @pytest.mark.parametrize("observers", OBSERVERS)
+    def test_observers_do_not_change_dispatch(self, observers, tmp_path):
+        baseline = _exercise(Simulator())
+        sim = Simulator()
+        observer = _observe(sim, observers, tmp_path)
+        assert _exercise(sim) == baseline
+        assert baseline["until"] == (3.0, 1, 1, 7)
+        assert baseline["recycled"]
+        assert baseline["stop"] == (4.0, 2, 8)
+        assert baseline["drain"] == (5.0, 0, 10)
+        assert baseline["log"][:2] == [("tick", 0.75), ("burst", 1.0)]
+        assert "doomed" not in baseline["log"]
+        if observers in ("profiler", "dimensions"):
+            # Two pending at entry, then the burst callback leaves five
+            # deliveries plus the late event queued: six live.
+            assert observer.heap_hwm == 6
+            assert observer.events == 10 and observer.runs == 3
+        if observers == "dimensions":
+            assert sum(cell[0] for cell in observer.dims.values()) == 10
+        if observers == "streamer":
+            assert observer.snapshots > 0
+            observer.close()

@@ -201,13 +201,6 @@ class TestEventFreelist:
         assert ev is first  # reissued from the freelist
         sim.run()
 
-    def test_freelist_disabled_by_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EVENT_FREELIST", "0")
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        assert not sim._free
-
     def test_timer_self_cancel_during_fire_is_safe(self):
         sim = Simulator()
         fired = []

@@ -189,12 +189,12 @@ class TestStreamFamilies:
         assert sorted(d.code for d in diags) == ["RPL201", "RPL201"]
 
     def test_shard_engine_modules_are_shard_safety_clean(self):
-        """The barrier/boundary objects introduced by sharded execution
+        """The boundary objects introduced by sharded execution
         communicate through the scheduler only — the shard-safety
         passes (RPL101/102/103) recognize them as clean, keeping the
         checked-in baseline empty."""
         diags = lint_project(str(REPO_ROOT / "src"))
-        shard_files = ("sim/shard.py", "sim/barrier.py")
+        shard_files = ("sim/shard.py",)
         offending = [
             d
             for d in diags

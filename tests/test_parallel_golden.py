@@ -48,20 +48,20 @@ GOLDEN_POINTS = {
 }
 
 # SHA-256 over canonical JSON (sort_keys) of result_to_dict(...).
-# Last regenerated for the sharded-execution PR: the params dict gained
-# the sharding knobs (shards, shard_exec, rng_discipline).  Every
-# simulation value — capture times, throughput curves, event counts —
-# is unchanged; the sharded identity suite (test_shard.py) proves the
-# journal bytes are too.
+# Last regenerated when the params dict lost ``shard_exec`` (the inline
+# sharded backend was deleted).  Witness: at the previous revision, the
+# sha256 of each artifact with ``params["shard_exec"]`` deleted equals
+# the digest below, so every simulation value — capture times,
+# throughput curves, event counts — is unchanged.
 GOLDEN_DIGESTS = {
     "fig8/honeypot-even": (
-        "b0ca74d6734577edeea4d96cb2798ca9766103292b38a3159b680cbbb64faa69"
+        "be7895d28ad8a0ee59337a43312fc9e90478fe362560bda3fafaab994ae55b66"
     ),
     "fig10/pushback-close": (
-        "129336fa0bcd5bc3ecff7b2d215eb4de6ab9b9893d449c7b521d1751287df0d2"
+        "8e3c65c010981c45455613063de7827b637a6453dae2009a1413909b0c0813dc"
     ),
     "fig11/none-halfrate": (
-        "02a965497d50bcf5a1accc6cb068a8caaf59871f8c5f31c547cbc65e6dd4abc6"
+        "e5951b97cba7602435400095e9a060e19190709abe7c0832acdbab30a4c3503d"
     ),
 }
 

@@ -1,211 +1,29 @@
-"""Conservative sharded execution (repro.sim.shard / repro.sim.barrier).
+"""Conservative sharded execution (repro.sim.shard).
 
-Three layers of evidence that sharding never changes results:
+Evidence that sharding never changes results:
 
-* a hypothesis property suite driving :class:`ClockBarrier` directly
-  with fuzzed promise/dispatch sequences (the safe-advance window is
-  never exceeded, per-shard dispatch stays in timestamp order,
-  promises are monotone);
-* golden-journal identity — the same scenario run serially and at
-  1/2/4 inline shards produces byte-identical causal journals, for the
-  legacy workload, an adaptive-policy workload, and the
-  reflection/amplification workload;
-* the split/merge round trip — a sharded journal splits into per-shard
-  parts and merges back to the exact serial byte sequence
-  (:mod:`repro.parallel.merge`), which is the correctness witness for
-  forked execution, itself checked here on a defense-free scenario.
+* layout and callback-resolution units, including the degenerate cuts
+  that run serially;
+* golden-journal identity — a defense-free continuous scenario with
+  per-host RNG run serially and forked over 2/4 shards produces
+  byte-identical causal journals, with and without a
+  ``repro.shardconfig/1`` assignment;
+* the fork envelope — every scenario outside it is rejected up front.
 """
 
 import json
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.experiments.scenarios import TreeScenarioParams, run_tree_scenario
 from repro.obs import Telemetry
-from repro.parallel.merge import merge_shard_journals, split_journal_by_origin
 from repro.sim import shard as shard_mod
-from repro.sim.barrier import BarrierError, ClockBarrier
 from repro.sim.engine import Simulator
 from repro.sim.link import Link
 from repro.sim.node import Host, Router
 from repro.sim.rng import RngRegistry
 from repro.topology.tree import TreeParams, build_tree_topology, subtree_partition
-
-
-# ----------------------------------------------------------------------
-# ClockBarrier unit + property suite
-# ----------------------------------------------------------------------
-class TestClockBarrierUnits:
-    def test_needs_two_shards_and_positive_lookahead(self):
-        with pytest.raises(BarrierError):
-            ClockBarrier(["solo"], 0.005)
-        with pytest.raises(BarrierError):
-            ClockBarrier(["a", "b"], 0.0)
-        with pytest.raises(BarrierError):
-            ClockBarrier(["a", "a"], 0.005)
-
-    def test_safe_until_is_min_peer_promise_plus_lookahead(self):
-        b = ClockBarrier(["a", "b", "c"], 0.5)
-        b.promise(1, 2.0)
-        b.promise(2, 5.0)
-        # Shard 0's own promise (0.0) never constrains itself.
-        assert b.safe_until(0) == pytest.approx(2.5)
-        assert b.safe_until(1) == pytest.approx(0.5)
-
-    def test_promise_regression_is_a_violation(self):
-        b = ClockBarrier(["a", "b"], 0.1)
-        b.promise(0, 3.0)
-        with pytest.raises(BarrierError):
-            b.promise(0, 2.0)
-        soft = ClockBarrier(["a", "b"], 0.1, strict=False)
-        soft.promise(0, 3.0)
-        soft.promise(0, 2.0)
-        assert soft.violations == 1
-
-    def test_dispatch_beyond_window_raises(self):
-        b = ClockBarrier(["a", "b"], 0.1)
-        assert b.check_dispatch(0, 0.05)
-        with pytest.raises(BarrierError):
-            b.check_dispatch(0, 0.2)  # peer promise 0.0 + 0.1 < 0.2
-
-    def test_dispatch_out_of_timestamp_order_raises(self):
-        b = ClockBarrier(["a", "b"], 10.0)
-        assert b.check_dispatch(0, 2.0)
-        with pytest.raises(BarrierError):
-            b.check_dispatch(0, 1.0)
-
-    def test_advance_clock_never_regresses(self):
-        b = ClockBarrier(["a", "b"], 0.1)
-        b.promise(0, 5.0)
-        b.advance_clock(3.0)
-        assert b.safe_until(1) == pytest.approx(5.1)
-        b.advance_clock(7.0)
-        assert b.safe_until(1) == pytest.approx(7.1)
-
-    def test_note_cross_counts_acausal_schedules(self):
-        b = ClockBarrier(["a", "b"], 0.5, strict=False)
-        assert b.note_cross(0, 1, t=1.0, now=0.2)  # 1.0 >= 0.2 + 0.5
-        assert not b.note_cross(0, 1, t=0.3, now=0.2)
-        assert b.cross_schedules == 2
-        assert b.acausal_cross == 1
-        # Exact-lookahead hops are causal (epsilon for float sums).
-        assert b.note_cross(0, 1, t=0.7, now=0.2)
-
-    def test_stats_shape(self):
-        b = ClockBarrier(["a", "b"], 0.5)
-        b.check_dispatch(0, 0.1)
-        s = b.stats()
-        assert s["shards"] == ["a", "b"]
-        assert s["dispatches"] == 1
-        assert s["violations"] == 0
-        assert s["min_window"] == pytest.approx(0.4)
-
-
-@st.composite
-def barrier_runs(draw):
-    """A barrier plus a fuzzed op sequence (shard, kind, time)."""
-    n = draw(st.integers(min_value=2, max_value=4))
-    lookahead = draw(st.floats(min_value=1e-3, max_value=2.0))
-    ops = draw(
-        st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=n - 1),
-                st.sampled_from(["promise", "dispatch"]),
-                st.floats(min_value=0.0, max_value=50.0),
-            ),
-            max_size=60,
-        )
-    )
-    return n, lookahead, ops
-
-
-class TestClockBarrierProperties:
-    @settings(max_examples=120, deadline=None)
-    @given(barrier_runs())
-    def test_nonstrict_matches_the_model(self, run):
-        """The barrier admits exactly what the conservative model admits.
-
-        Model: promises are monotone per shard; a dispatch (shard, t)
-        is admissible iff t >= the shard's previous dispatch AND
-        t <= min(peer promises) + lookahead.  An admitted dispatch
-        promotes the shard's own promise.
-        """
-        n, lookahead, ops = run
-        b = ClockBarrier([f"s{i}" for i in range(n)], lookahead, strict=False)
-        promises = [0.0] * n
-        last = [float("-inf")] * n
-        violations = 0
-        for shard, kind, t in ops:
-            if kind == "promise":
-                if t < promises[shard]:
-                    violations += 1
-                else:
-                    promises[shard] = t
-                b.promise(shard, t)
-            else:
-                bound = min(
-                    promises[j] for j in range(n) if j != shard
-                ) + lookahead
-                ok = t >= last[shard] and t <= bound
-                assert b.check_dispatch(shard, t) == ok
-                if ok:
-                    last[shard] = t
-                    promises[shard] = max(promises[shard], t)
-                else:
-                    violations += 1
-            # The invariant under test: the barrier's window never
-            # exceeds min(peer promise) + lookahead.
-            for i in range(n):
-                want = min(promises[j] for j in range(n) if j != i) + lookahead
-                assert b.safe_until(i) == pytest.approx(want)
-        assert b.violations == violations
-
-    @settings(max_examples=120, deadline=None)
-    @given(barrier_runs())
-    def test_admitted_dispatches_stay_in_timestamp_order(self, run):
-        n, lookahead, ops = run
-        b = ClockBarrier([f"s{i}" for i in range(n)], lookahead, strict=False)
-        admitted = {i: [] for i in range(n)}
-        for shard, kind, t in ops:
-            if kind == "promise":
-                b.promise(shard, t)
-            elif b.check_dispatch(shard, t):
-                admitted[shard].append(t)
-        for ts in admitted.values():
-            assert ts == sorted(ts)
-
-    @settings(max_examples=80, deadline=None)
-    @given(barrier_runs())
-    def test_strict_mode_raises_exactly_when_nonstrict_counts(self, run):
-        n, lookahead, ops = run
-        soft = ClockBarrier([f"s{i}" for i in range(n)], lookahead, strict=False)
-        hard = ClockBarrier([f"s{i}" for i in range(n)], lookahead, strict=True)
-        diverged = False
-        for shard, kind, t in ops:
-            before = soft.violations
-            if kind == "promise":
-                soft.promise(shard, t)
-            else:
-                soft.check_dispatch(shard, t)
-            bad = soft.violations > before
-            if diverged:
-                continue
-            if kind == "promise":
-                if bad:
-                    with pytest.raises(BarrierError):
-                        hard.promise(shard, t)
-                    diverged = True
-                else:
-                    hard.promise(shard, t)
-            else:
-                if bad:
-                    with pytest.raises(BarrierError):
-                        hard.check_dispatch(shard, t)
-                    diverged = True
-                else:
-                    hard.check_dispatch(shard, t)
 
 
 # ----------------------------------------------------------------------
@@ -241,15 +59,13 @@ class TestShardLayout:
     def test_single_label_partition_falls_back_to_serial(self):
         topo = small_topo()
         part = {node: "core" for node in subtree_partition(topo)}
-        sim = shard_mod.make_sharded_simulator(topo.graph, part, 4)
-        assert type(sim) is Simulator
+        assert not shard_mod.shard_layout(topo.graph, part, 4).parallel
 
     def test_one_shard_request_falls_back_to_serial(self):
         topo = small_topo()
-        sim = shard_mod.make_sharded_simulator(
-            topo.graph, subtree_partition(topo), 1
-        )
-        assert type(sim) is Simulator
+        layout = shard_mod.shard_layout(topo.graph, subtree_partition(topo), 1)
+        assert not layout.parallel
+        assert shard_mod.shard_layout(topo.graph, subtree_partition(topo), 2).parallel
 
     def test_zero_lookahead_cut_falls_back_to_serial(self):
         import networkx as nx
@@ -257,8 +73,8 @@ class TestShardLayout:
         g = nx.Graph()
         g.add_edge(0, 1, delay=0.0, bandwidth=1e6)
         part = {0: "core", 1: "subA"}
-        sim = shard_mod.make_sharded_simulator(g, part, 2)
-        assert type(sim) is Simulator
+        layout = shard_mod.shard_layout(g, part, 2)
+        assert layout.n_groups == 2 and not layout.parallel
 
 
 class TestResolveGroup:
@@ -301,30 +117,18 @@ class TestResolveGroup:
 
 
 # ----------------------------------------------------------------------
-# Golden-journal identity: serial vs 1/2/4 inline shards
+# Golden-journal identity: serial vs 2/4 forked shards
 # ----------------------------------------------------------------------
-LEGACY = TreeScenarioParams(
+FORKABLE = TreeScenarioParams(
     n_leaves=24,
     n_attackers=6,
     duration=8.0,
     attack_start=2.0,
     attack_end=6.0,
-    defense="honeypot",
-    seed=3,
+    defense="none",
+    rng_discipline="per-host",
+    seed=9,
 )
-SCENARIOS = {
-    "legacy": LEGACY,
-    "policy": replace(LEGACY, attacker_policy="aware", seed=5),
-    "amplifier": replace(
-        LEGACY,
-        attacker_policy="reflection",
-        n_amplifiers=2,
-        seed=7,
-    ),
-    "no-defense-per-host": replace(
-        LEGACY, defense="none", rng_discipline="per-host", seed=9
-    ),
-}
 
 
 def journal_lines(params, **kwargs):
@@ -336,37 +140,69 @@ def journal_lines(params, **kwargs):
     return lines, result, telemetry
 
 
+SCENARIOS = {"no-defense-per-host": FORKABLE}
+
+
 @pytest.fixture(scope="module")
-def serial_runs():
-    return {name: journal_lines(p) for name, p in SCENARIOS.items()}
+def serial_run():
+    return journal_lines(FORKABLE)
+
+
+def assert_forked_matches_serial(serial_run, params):
+    serial_lines, serial_result, _ = serial_run
+    lines, result, telemetry = journal_lines(params)
+    assert lines == serial_lines
+    assert result.events_processed == serial_result.events_processed
+    assert result.legit_pct == serial_result.legit_pct
+    assert result.attack_pct == serial_result.attack_pct
+    assert result.capture_times == serial_result.capture_times
+    return result, telemetry.extra["forked"]
+
+
+class TestForkedExecution:
+    def test_fork_mode_is_journal_identical_to_serial(self, serial_run):
+        result, stats = assert_forked_matches_serial(
+            serial_run, replace(FORKABLE, shards=2)
+        )
+        assert stats["shards"] == 2
+        assert stats["windows"] > 0
+        assert stats["lookahead"] > 0.0
+        assert sum(stats["events_per_shard"]) == result.events_processed
+
+    def test_fork_mode_rejects_unsupported_workloads(self):
+        with pytest.raises(ValueError, match="defense"):
+            run_tree_scenario(replace(FORKABLE, defense="honeypot", shards=2))
+        with pytest.raises(ValueError, match="rng_discipline"):
+            run_tree_scenario(
+                replace(FORKABLE, rng_discipline="shared", shards=2)
+            )
+
+    def test_unknown_modes_are_rejected(self):
+        with pytest.raises(ValueError):
+            run_tree_scenario(replace(FORKABLE, rng_discipline="psychic"))
+        with pytest.raises(ValueError):
+            run_tree_scenario(replace(FORKABLE, shards=-1))
 
 
 class TestInlineGoldenIdentity:
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     @pytest.mark.parametrize("shards", [2, 4])
-    def test_journal_identical_to_serial(self, serial_runs, name, shards):
-        serial_lines, serial_result, _ = serial_runs[name]
-        lines, result, telemetry = journal_lines(
-            replace(SCENARIOS[name], shards=shards)
+    def test_journal_identical_to_serial(self, serial_run, name, shards):
+        _, stats = assert_forked_matches_serial(
+            serial_run, replace(SCENARIOS[name], shards=shards)
         )
-        assert lines == serial_lines
-        assert result.events_processed == serial_result.events_processed
-        assert result.legit_pct == serial_result.legit_pct
-        assert result.attack_pct == serial_result.attack_pct
-        assert result.capture_times == serial_result.capture_times
-        barrier = telemetry.extra["shard_barrier"]
-        assert barrier["violations"] == 0
-        assert barrier["acausal_cross"] == 0
-        assert barrier["dispatches"] > 0
+        assert 2 <= stats["shards"] <= shards
+        assert stats["shards"] > 2 or shards == 2
+        assert len(stats["events_per_shard"]) == stats["shards"]
 
-    def test_one_shard_is_the_serial_engine(self, serial_runs):
-        serial_lines, _, _ = serial_runs["legacy"]
-        lines, _, telemetry = journal_lines(replace(LEGACY, shards=1))
+    def test_one_shard_is_the_serial_engine(self, serial_run):
+        serial_lines, _, _ = serial_run
+        lines, _, telemetry = journal_lines(replace(FORKABLE, shards=1))
         assert lines == serial_lines
-        assert "shard_barrier" not in telemetry.extra
+        assert "forked" not in telemetry.extra
 
-    def test_shard_config_is_honoured_end_to_end(self, serial_runs, tmp_path):
-        topo = small_topo(n_leaves=LEGACY.n_leaves, seed=LEGACY.seed)
+    def test_shard_config_is_honoured_end_to_end(self, serial_run, tmp_path):
+        topo = small_topo(n_leaves=FORKABLE.n_leaves, seed=FORKABLE.seed)
         part = subtree_partition(topo)
         label = min(lab for lab in part.values() if lab != "core")
         config = {
@@ -377,106 +213,41 @@ class TestInlineGoldenIdentity:
         }
         path = tmp_path / "shards.json"
         path.write_text(json.dumps(config))
-        serial_lines, _, _ = serial_runs["legacy"]
-        lines, _, _ = journal_lines(
-            replace(LEGACY, shards=2),
+        serial_lines, _, _ = serial_run
+        lines, _, telemetry = journal_lines(
+            replace(FORKABLE, shards=2),
             shard_config=shard_mod.load_shard_config(str(path)),
         )
         assert lines == serial_lines
+        assert telemetry.extra["forked"]["shards"] == 2
 
 
-# ----------------------------------------------------------------------
-# Split/merge round trip: the journal is the merge proof
-# ----------------------------------------------------------------------
-class TestSplitMergeRoundTrip:
-    def test_sharded_journal_round_trips_to_serial_bytes(self):
-        lines, _, telemetry = journal_lines(replace(LEGACY, shards=2))
-        parts = split_journal_by_origin(telemetry.journal, 2)
-        assert sum(len(p["journal"]) for p in parts) == len(lines)
-        assert any(p["xparents"] for p in parts) or len(parts[1]["journal"]) == 0
-        merged = merge_shard_journals(parts)
-        merged_lines = [
-            json.dumps(e.as_dict(), sort_keys=True) for e in merged.events
-        ]
-        assert merged_lines == lines
+class TestShardConfigErrors:
+    @pytest.mark.parametrize(
+        "case, text",
+        [
+            ("non-json", "{not json"),
+            ("non-integer-group", '{"schema": "repro.shardconfig/1", '
+             '"groups": {"as1": "one"}}'),
+            ("wrong-schema", '{"schema": "repro.shardplan/1", '
+             '"groups": {"as1": 1}}'),
+            ("outside-fork-envelope", None),
+        ],
+    )
+    def test_stats_reports_one_error_line_and_exits_2(
+        self, tmp_path, capsys, case, text
+    ):
+        from repro.cli import main
 
-    def test_unsharded_journal_degenerates_to_one_part(self):
-        lines, _, telemetry = journal_lines(LEGACY)
-        parts = split_journal_by_origin(telemetry.journal, 2)
-        assert len(parts[1]["journal"]) == 0
-        merged = merge_shard_journals(parts)
-        assert [
-            json.dumps(e.as_dict(), sort_keys=True) for e in merged.events
-        ] == lines
-
-    def test_duplicate_origin_keys_are_rejected(self):
-        _, _, telemetry = journal_lines(replace(LEGACY, shards=2))
-        parts = split_journal_by_origin(telemetry.journal, 2)
-        donor = next(p for p in parts if p["order"])
-        donor["order"][-1] = list(donor["order"][0])
-        with pytest.raises(ValueError):
-            merge_shard_journals(parts)
-
-
-# ----------------------------------------------------------------------
-# Forked execution
-# ----------------------------------------------------------------------
-FORKABLE = SCENARIOS["no-defense-per-host"]
-
-
-class TestForkedExecution:
-    def test_fork_mode_is_journal_identical_to_serial(self, serial_runs):
-        serial_lines, serial_result, _ = serial_runs["no-defense-per-host"]
-        lines, result, telemetry = journal_lines(
-            replace(FORKABLE, shards=2, shard_exec="processes")
-        )
-        assert lines == serial_lines
-        assert result.events_processed == serial_result.events_processed
-        assert result.legit_pct == serial_result.legit_pct
-        assert result.attack_pct == serial_result.attack_pct
-        stats = telemetry.extra["shard_exec"]
-        assert stats["shards"] >= 2
-        assert stats["windows"] > 0
-        assert stats["lookahead"] > 0.0
-        assert sum(stats["events_per_shard"]) == result.events_processed
-
-    def test_fork_mode_rejects_unsupported_workloads(self):
-        with pytest.raises(ValueError, match="defense"):
-            run_tree_scenario(
-                replace(
-                    FORKABLE, defense="honeypot", shards=2, shard_exec="processes"
-                )
-            )
-        with pytest.raises(ValueError, match="rng_discipline"):
-            run_tree_scenario(
-                replace(
-                    FORKABLE,
-                    rng_discipline="shared",
-                    shards=2,
-                    shard_exec="processes",
-                )
-            )
-
-    def test_unknown_modes_are_rejected(self):
-        with pytest.raises(ValueError):
-            run_tree_scenario(replace(FORKABLE, shard_exec="threads"))
-        with pytest.raises(ValueError):
-            run_tree_scenario(replace(FORKABLE, rng_discipline="psychic"))
-        with pytest.raises(ValueError):
-            run_tree_scenario(replace(FORKABLE, shards=-1))
-
-
-# ----------------------------------------------------------------------
-# Environment plumbing
-# ----------------------------------------------------------------------
-class TestEnvPlumbing:
-    def test_repro_shards_env_activates_sharding(self, monkeypatch):
-        from repro.experiments.scenarios import resolve_shards
-
-        monkeypatch.delenv("REPRO_SHARDS", raising=False)
-        assert resolve_shards() == 0
-        assert resolve_shards(3) == 3
-        monkeypatch.setenv("REPRO_SHARDS", "2")
-        assert resolve_shards() == 2
-        # shards=1 is an explicit serial request the env cannot override.
-        assert resolve_shards(1) == 1
+        argv = ["stats", "--scale", "quick", "--shards", "2"]
+        if text is None:
+            argv += ["--defense", "honeypot"]
+        else:
+            path = tmp_path / "shards.json"
+            path.write_text(text)
+            with pytest.raises(shard_mod.ShardError):
+                shard_mod.load_shard_config(str(path))
+            argv += ["--defense", "none", "--shard-config", str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
