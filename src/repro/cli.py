@@ -134,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="FILE",
             default=None,
             help="instrument the runs with repro.obs and write the "
-            "telemetry artifact (metrics + spans + engine profile) as JSON",
+            "telemetry artifact (metrics + journal + engine profile) as JSON",
         )
         p.add_argument(
             "--journal-out",

@@ -410,7 +410,7 @@ def run_sweep(
     ``report.exit_code`` reflects partial failure.  With a
     ``telemetry``, every task is instrumented and worker artifacts are
     absorbed in *task* order (never completion order), so the merged
-    metrics/spans/journal match a serial instrumented sweep.  With a
+    metrics/journal match a serial instrumented sweep.  With a
     ``stream`` dict every task writes a live ``<task>.stream.jsonl``
     under ``stream["dir"]`` and the supervisor maintains the merged
     ``pool.status.json`` there (watch with ``repro watch DIR``).

@@ -1,15 +1,16 @@
-"""repro.obs — unified observability: metrics, spans, self-profiling.
+"""repro.obs — unified observability: metrics, journal, self-profiling.
 
 The measurement layer under every experiment: a labeled
 :class:`MetricsRegistry` (counters / gauges / fixed-bucket histograms),
-a :class:`SpanRecorder` that captures the defense lifecycle as
-parent/child span timelines, an :class:`EngineProfiler` for simulator
-self-profiling, and exporters (JSON / CSV / Prometheus text) so every
-run can leave a machine-readable artifact.
+the causal :class:`Journal` — the one recorder of the defense
+lifecycle — an :class:`EngineProfiler` for simulator self-profiling,
+and exporters (JSON / CSV / Prometheus text) so every run can leave a
+machine-readable artifact.  :class:`SpanRecorder` is a read-only view
+that folds the journal into parent/child span timelines after the run.
 
-:class:`Telemetry` bundles the four and is what scenarios, defenses,
-and benchmarks thread through the stack; components treat a ``None``
-telemetry as "observability off" and skip all instrumentation.
+:class:`Telemetry` bundles the three recorders and is what scenarios,
+defenses, and benchmarks thread through the stack; components treat a
+``None`` telemetry as "observability off" and skip all instrumentation.
 
 :mod:`repro.obs.stream` adds the *live* dimension: a
 :class:`TelemetryStreamer` the engine pulses during the run, appending

@@ -4,11 +4,12 @@ The paper's defense is a cascade — honeypot hit, session open, HSM
 diversion, ingress-edge identification, inter-AS hops, intra-AS input
 debugging, port close, progressive resume — and validating a run means
 asking *what happened, after what, and is that order identical across
-runs and workers?*  Spans (:mod:`repro.obs.spans`) answer *when*; the
-journal answers *why-after-what*: an append-only log of
-:class:`JournalEvent` records with monotonically-assigned ids,
-simulation timestamps, and **causal parent links** forming one tree
-per honeypot session.
+runs and workers?*  The journal is the one recorder that answers it:
+an append-only log of :class:`JournalEvent` records with
+monotonically-assigned ids, simulation timestamps, and **causal parent
+links** forming one tree per honeypot session.  Every other view is
+read from it — the span timelines of :mod:`repro.obs.spans` (*when*
+each stage ran) are folded from its ``*_open``/``*_close`` pairs.
 
 Determinism contract (the regression tests diff this byte-for-byte):
 

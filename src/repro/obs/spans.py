@@ -1,31 +1,33 @@
-"""Span timelines: the defense lifecycle as a tree of timed intervals.
+"""Span timelines: a read-only view of the causal journal.
 
-The paper's traceback proceeds as a cascade — honeypot hit, session
-open at the server's access router, HSM diversion, ingress-edge
-identification, inter-AS hops, intra-AS input debugging, port close,
-progressive resume — and debugging a defense means asking *when* each
-stage happened and *under which* session.  A :class:`SpanRecorder`
-records these stages as spans (named intervals in simulation time)
-with parent/child links, so one honeypot session renders as a single
-timeline tree.
+The defense lifecycle is recorded once, by the journal
+(:mod:`repro.obs.journal`).  This module reads it back as a tree of
+timed intervals so one honeypot session renders as one gantt:
+:meth:`SpanRecorder.from_journal` folds each ``X_open`` event and its
+``X_close`` child into one span named ``X`` (``session``,
+``as_session``, ``intra_session``), turns every other event into an
+instantaneous span, and keeps the journal's parent links.
 
-Spans are deterministic: ids are assigned in creation order, times are
-simulation times, and the serialized form (:meth:`SpanRecorder.to_dicts`)
-is identical across same-seed runs — the regression tests diff it.
+The view is deterministic because the journal is: span ids follow
+journal order and times are simulation times.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+
+from .journal import Journal
 
 __all__ = ["Span", "SpanRecorder"]
+
+_OPEN, _CLOSE = "_open", "_close"
 
 
 class Span:
     """One named interval; ``end is None`` while still open.
 
     Instantaneous occurrences (a port close, a honeypot hit) are spans
-    with ``end == start`` — recorded via :meth:`SpanRecorder.event`.
+    with ``end == start`` — built via :meth:`SpanRecorder.event`.
     """
 
     __slots__ = ("span_id", "name", "start", "end", "parent_id", "attrs")
@@ -55,77 +57,76 @@ class Span:
     def is_event(self) -> bool:
         return self.end == self.start
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "span_id": self.span_id,
-            "name": self.name,
-            "start": self.start,
-            "end": self.end,
-            "parent_id": self.parent_id,
-            "attrs": dict(self.attrs),
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         end = "open" if self.end is None else f"{self.end:.4f}"
         return f"Span#{self.span_id}({self.name}, {self.start:.4f}->{end})"
 
 
 class SpanRecorder:
-    """Collects spans against a clock (usually ``lambda: sim.now``)."""
+    """The span forest of one journal (see :meth:`from_journal`)."""
 
-    def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
-        self.clock: Callable[[], float] = clock if clock is not None else (lambda: 0.0)
+    def __init__(self) -> None:
         self.spans: List[Span] = []
-        self._by_id: Dict[int, Span] = {}
+
+    @classmethod
+    def from_journal(cls, journal: Journal) -> "SpanRecorder":
+        """Fold ``journal`` into spans: an ``X_close`` event whose parent
+        is a still-open ``X_open`` closes that interval (its attributes
+        join the span's); any other event is an instant span."""
+        rec = cls()
+        by_event: Dict[int, Span] = {}
+        for ev in journal.events:
+            parent = None if ev.parent_id is None else by_event.get(ev.parent_id)
+            name = ev.name
+            if (
+                name.endswith(_CLOSE)
+                and parent is not None
+                and parent.end is None
+                and parent.name == name[: -len(_CLOSE)]
+            ):
+                span = rec.end(parent, ev.time, **ev.attrs)
+            elif name.endswith(_OPEN):
+                span = rec.start(name[: -len(_OPEN)], ev.time, parent, **ev.attrs)
+            else:
+                span = rec.event(name, ev.time, parent, **ev.attrs)
+            by_event[ev.event_id] = span
+        return rec
 
     # ------------------------------------------------------------------
-    # Recording
+    # Builders
     # ------------------------------------------------------------------
     def start(
-        self,
-        name: str,
-        parent: Optional[Span] = None,
-        at: Optional[float] = None,
-        **attrs: Any,
+        self, name: str, at: float, parent: Optional[Span] = None, **attrs: Any
     ) -> Span:
-        """Open a span; close it with :meth:`end`."""
+        """Open a span at ``at``; close it with :meth:`end`."""
         span = Span(
             len(self.spans),
             name,
-            self.clock() if at is None else at,
+            at,
             parent.span_id if parent is not None else None,
             attrs,
         )
         self.spans.append(span)
-        self._by_id[span.span_id] = span
         return span
 
-    def end(self, span: Span, at: Optional[float] = None, **attrs: Any) -> Span:
+    def end(self, span: Span, at: float, **attrs: Any) -> Span:
         """Close a span (idempotent: a second end is ignored)."""
         if span.end is None:
-            span.end = self.clock() if at is None else at
-            if attrs:
-                span.attrs.update(attrs)
+            span.end = at
+            span.attrs.update(attrs)
         return span
 
     def event(
-        self,
-        name: str,
-        parent: Optional[Span] = None,
-        at: Optional[float] = None,
-        **attrs: Any,
+        self, name: str, at: float, parent: Optional[Span] = None, **attrs: Any
     ) -> Span:
-        """Record an instantaneous span (end == start)."""
-        span = self.start(name, parent, at, **attrs)
-        span.end = span.start
+        """An instantaneous span (end == start)."""
+        span = self.start(name, at, parent, **attrs)
+        span.end = at
         return span
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def get(self, span_id: int) -> Optional[Span]:
-        return self._by_id.get(span_id)
-
     def roots(self) -> List[Span]:
         return [s for s in self.spans if s.parent_id is None]
 
@@ -146,7 +147,7 @@ class SpanRecorder:
         return list(out)
 
     def subtree(self, root: Span) -> List[Span]:
-        """The root and every descendant, in creation (= time) order."""
+        """The root and every descendant, in journal (= time) order."""
         keep = {root.span_id}
         out = [root]
         for s in self.spans:
@@ -169,26 +170,14 @@ class SpanRecorder:
         return out
 
     # ------------------------------------------------------------------
-    # Serialization and rendering
+    # Rendering
     # ------------------------------------------------------------------
-    def to_dicts(self) -> List[Dict[str, Any]]:
-        return [s.as_dict() for s in self.spans]
-
-    @classmethod
-    def from_dicts(cls, dicts: List[Dict[str, Any]]) -> "SpanRecorder":
-        rec = cls()
-        for d in dicts:
-            span = Span(d["span_id"], d["name"], d["start"], d["parent_id"], dict(d["attrs"]))
-            span.end = d["end"]
-            rec.spans.append(span)
-            rec._by_id[span.span_id] = span
-        return rec
-
-    def render_timeline(self, root: Optional[Span] = None, width: int = 40) -> str:
-        """Text gantt of one tree (or all roots when ``root`` is None)."""
-        roots = [root] if root is not None else self.roots()
+    def render_timeline(
+        self, roots: Optional[Sequence[Span]] = None, width: int = 40
+    ) -> str:
+        """Text gantt of the given trees (all roots when ``roots`` is None)."""
         lines: List[str] = []
-        for r in roots:
+        for r in self.roots() if roots is None else roots:
             sub = self.subtree(r)
             t0 = min(s.start for s in sub)
             t1 = max((s.end if s.end is not None else s.start) for s in sub)

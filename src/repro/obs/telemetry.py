@@ -1,4 +1,4 @@
-"""The unified telemetry hub: registry + spans + engine profile.
+"""The unified telemetry hub: registry + journal + engine profile.
 
 A :class:`Telemetry` object is the single thing a scenario, defense, or
 benchmark threads through the stack.  Components take an optional
@@ -6,22 +6,24 @@ benchmark threads through the stack.  Components take an optional
 None`` — a run without telemetry constructs no objects and executes no
 instrumentation, so the disabled path costs nothing in the hot loop.
 
-The hub also owns the *session-span index*: the honeypot defense's
-lifecycle spans are produced by agents that never hold references to
+The hub also owns the *session rendezvous*: the honeypot defense's
+lifecycle events are journaled by agents that never hold references to
 each other (server trigger agents, per-router back-propagation agents,
-HSMs), so they rendezvous here on ``(honeypot_addr, epoch)`` to build
-one tree per honeypot session.
+HSMs), so they meet here on ``(honeypot_addr, epoch)`` to hang one
+causal tree per honeypot session off its ``session_open`` root.  Span
+timelines are not recorded; :meth:`render` derives them from the
+journal (:meth:`SpanRecorder.from_journal`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 from .export import registry_to_prometheus, write_json
 from .journal import Journal, JournalEvent
 from .profile import EngineProfiler
 from .registry import MetricsRegistry
-from .spans import Span, SpanRecorder
+from .spans import SpanRecorder
 
 __all__ = ["Telemetry"]
 
@@ -33,11 +35,10 @@ class Telemetry:
 
     def __init__(self, sim: Optional[Any] = None) -> None:
         self.registry = MetricsRegistry()
-        self.spans = SpanRecorder()
         self.journal = Journal()
         self.profiler = EngineProfiler()
-        self.session_spans: Dict[SessionKey, Span] = {}
-        self.session_journal: Dict[SessionKey, JournalEvent] = {}
+        self._session_roots: Dict[SessionKey, JournalEvent] = {}
+        self._closed_sessions: Set[SessionKey] = set()
         # Free-form run-level payload merged into the artifact (figure
         # series, scenario parameters, capture summaries, ...).
         self.extra: Dict[str, Any] = {}
@@ -48,16 +49,15 @@ class Telemetry:
             self.bind(sim)
 
     def bind(self, sim: Any) -> "Telemetry":
-        """Clock the spans/journal off ``sim`` and profile its event
-        loop; the simulator also journals its own run boundaries."""
+        """Clock the journal off ``sim`` and profile its event loop; the
+        simulator also journals its own run boundaries."""
         # The session rendezvous is per simulation run: a shared hub
         # (serial run_many) binding a fresh simulator must not let a
         # previous run's (honeypot, epoch) keys swallow this run's
         # session_open events — pool workers start empty, and serial
         # must match them byte-for-byte.
-        self.session_spans.clear()
-        self.session_journal.clear()
-        self.spans.clock = lambda: sim.now
+        self._session_roots.clear()
+        self._closed_sessions.clear()
         self.journal.clock = lambda: sim.now
         sim.journal = self.journal
         # Engine-side counters (e.g. timer_jitter_clamped) land here.
@@ -66,41 +66,34 @@ class Telemetry:
         return self
 
     # ------------------------------------------------------------------
-    # Honeypot-session span rendezvous
+    # Honeypot-session rendezvous
     # ------------------------------------------------------------------
     def open_session(
         self, honeypot_addr: int, epoch: int, **attrs: Any
-    ) -> Span:
-        """Root span of one honeypot session (idempotent per key)."""
+    ) -> JournalEvent:
+        """The session's ``session_open`` root, journaled on the key's
+        first open (later opens, even after a close, return it)."""
         key = (honeypot_addr, epoch)
-        span = self.session_spans.get(key)
-        if span is None:
-            span = self.spans.start(
-                "honeypot_session", honeypot=honeypot_addr, epoch=epoch, **attrs
-            )
-            self.session_spans[key] = span
-            self.session_journal[key] = self.journal.record(
+        root = self._session_roots.get(key)
+        if root is None:
+            root = self._session_roots[key] = self.journal.record(
                 "session_open", honeypot=honeypot_addr, epoch=epoch, **attrs
             )
             self.registry.counter("honeypot_sessions_total").inc()
-        return span
-
-    def session_span(self, honeypot_addr: int, epoch: int) -> Optional[Span]:
-        return self.session_spans.get((honeypot_addr, epoch))
+        return root
 
     def journal_root(
         self, honeypot_addr: int, epoch: int
     ) -> Optional[JournalEvent]:
         """The session's root journal event (the causal-tree anchor)."""
-        return self.session_journal.get((honeypot_addr, epoch))
+        return self._session_roots.get((honeypot_addr, epoch))
 
     def close_session(self, honeypot_addr: int, epoch: int, **attrs: Any) -> None:
-        span = self.session_spans.get((honeypot_addr, epoch))
-        already_closed = span is not None and span.end is not None
-        if span is not None:
-            self.spans.end(span, **attrs)
-        root = self.session_journal.get((honeypot_addr, epoch))
-        if root is not None and not already_closed:
+        """Journal ``session_close`` once per opened key."""
+        key = (honeypot_addr, epoch)
+        root = self._session_roots.get(key)
+        if root is not None and key not in self._closed_sessions:
+            self._closed_sessions.add(key)
             self.journal.record(
                 "session_close", parent=root, honeypot=honeypot_addr,
                 epoch=epoch, **attrs,
@@ -166,7 +159,6 @@ class Telemetry:
         payload: Dict[str, Any] = {
             "schema": "repro.obs/1",
             "metrics": self.registry.as_dict(),
-            "spans": self.spans.to_dicts(),
             "journal": self.journal.to_dicts(),
             "engine": self.profiler.as_dict(),
         }
@@ -202,11 +194,14 @@ class Telemetry:
         return "\n".join(lines)
 
     def render(self) -> str:
-        """Human-readable dump: prometheus text + span timelines."""
+        """Human-readable dump: prometheus text + the honeypot-session
+        gantts of the journal's span view."""
         parts = [registry_to_prometheus(self.registry)]
-        if self.spans.spans:
-            parts.append(self.spans.render_timeline())
         if self.journal.events:
+            view = SpanRecorder.from_journal(self.journal)
+            sessions = [s for s in view.roots() if s.name == "session"]
+            if sessions:
+                parts.append(view.render_timeline(sessions))
             parts.append(
                 f"journal: {len(self.journal.events)} events recorded "
                 "(write with --journal-out, inspect with `repro replay`)"

@@ -9,9 +9,11 @@ from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
     EngineProfiler,
     Histogram,
+    Journal,
     MetricsRegistry,
     SpanRecorder,
     Telemetry,
+    load_journal,
     load_json,
     registry_to_prometheus,
     series_to_csv,
@@ -120,67 +122,154 @@ class TestRegistry:
         assert a.histogram("h", buckets=(1.0,)).count == 1
 
 
+def _lifecycle_journal():
+    """A hand-built journal: a session (open/close pair) with an
+    instant child, an intra-AS session replaced without a cancel, its
+    unclosed replacement, and a root-level instant."""
+    j = Journal()
+    root = j.record("session_open", at=1.0, honeypot=9, epoch=2)
+    j.record("honeypot_hit", parent=root, at=1.0, hits=2)
+    intra = j.record("intra_session_open", parent=root, at=1.5, router=4)
+    j.record("port_close", parent=intra, at=2.0, host=7)
+    j.record("intra_session_close", parent=intra, at=2.5, replaced=True)
+    j.record("intra_session_open", parent=root, at=2.5, router=4)
+    j.record("session_close", parent=root, at=4.0, honeypot=9, epoch=2)
+    j.record("epoch_roll", at=5.0, epoch=3)
+    return j
+
+
 class TestSpans:
+    """``SpanRecorder.from_journal``: the span view of a journal."""
+
     def test_nesting_and_events(self):
-        rec = SpanRecorder()
-        now = [0.0]
-        rec.clock = lambda: now[0]
-        root = rec.start("session", honeypot=9)
-        now[0] = 1.0
-        child = rec.start("hop", parent=root)
-        rec.event("port_close", parent=child, host=4)
-        now[0] = 2.0
-        rec.end(child)
-        rec.end(root)
-        assert rec.roots() == [root]
-        assert rec.children(root) == [child]
-        assert [s.name for s in rec.subtree(root)] == [
-            "session", "hop", "port_close",
+        view = SpanRecorder.from_journal(_lifecycle_journal())
+        session, roll = view.roots()
+        assert (session.name, session.start, session.end) == ("session", 1.0, 4.0)
+        # The close's attributes join the interval's.
+        assert session.attrs == {"honeypot": 9, "epoch": 2}
+        assert roll.is_event and roll.name == "epoch_roll"
+        assert [s.name for s in view.subtree(session)] == [
+            "session", "honeypot_hit", "intra_session", "port_close",
+            "intra_session",
         ]
-        (evt,) = rec.find("port_close")
-        assert evt.is_event and evt.start == 1.0
-        assert child.duration == pytest.approx(1.0)
+        hit = view.children(session)[0]
+        assert hit.is_event and hit.start == 1.0 and hit.attrs == {"hits": 2}
+        # Instants hang under the interval their journal parent opened.
+        (port,) = view.find("port_close")
+        assert port.parent_id == view.children(session)[1].span_id
+
+    def test_replaced_intra_session_closes_its_interval(self):
+        view = SpanRecorder.from_journal(_lifecycle_journal())
+        replaced, unclosed = view.find("intra_session")
+        assert replaced.duration == pytest.approx(1.0)
+        assert replaced.attrs == {"router": 4, "replaced": True}
+        assert unclosed.end is None and unclosed.start == 2.5
+        # Every journal event but the two folded closes became a span.
+        assert len(view) == 6
 
     def test_end_is_idempotent(self):
-        rec = SpanRecorder()
-        s = rec.start("x")
-        rec.end(s, at=5.0)
-        rec.end(s, at=99.0)
-        assert s.end == 5.0
+        j = Journal()
+        root = j.record("as_session_open", at=1.0, asn=3)
+        j.record("as_session_close", parent=root, at=5.0, stalled=True)
+        j.record("as_session_close", parent=root, at=9.0, captured=True)
+        view = SpanRecorder.from_journal(j)
+        interval, late = view.spans
+        assert interval.end == 5.0 and interval.attrs == {"asn": 3, "stalled": True}
+        # A second close cannot reopen the interval: it is an instant.
+        assert late.is_event and late.parent_id == interval.span_id
+        view.end(interval, 99.0)
+        assert interval.end == 5.0
 
     def test_complete_trees_requires_closed_subtree(self):
-        rec = SpanRecorder()
-        root = rec.start("session")
-        rec.event("port_close", parent=root)
-        assert rec.complete_trees("port_close") == []  # root still open
-        rec.end(root)
-        assert rec.complete_trees("port_close") == [root]
+        j = _lifecycle_journal()
+        # The unclosed intra-AS session keeps the tree incomplete.
+        assert SpanRecorder.from_journal(j).complete_trees("port_close") == []
+        j.record("intra_session_close", parent=5, at=3.0, ingress_ports=1)
+        view = SpanRecorder.from_journal(j)
+        assert [r.name for r in view.complete_trees("port_close")] == ["session"]
         # A tree without the leaf never qualifies.
-        other = rec.start("session")
-        rec.end(other)
-        assert rec.complete_trees("port_close") == [root]
+        assert view.complete_trees("honeypot_hit") == view.complete_trees(
+            "port_close"
+        )
+        assert view.complete_trees("frontier_add") == []
 
-    def test_serialization_round_trip(self):
-        rec = SpanRecorder()
-        root = rec.start("a", k=1)
-        rec.event("b", parent=root)
-        rec.end(root, at=3.0)
-        clone = SpanRecorder.from_dicts(rec.to_dicts())
-        assert clone.to_dicts() == rec.to_dicts()
+    def test_serialization_round_trip(self, tmp_path):
+        # The view of a written-and-reloaded journal is the live view.
+        j = _lifecycle_journal()
+        clone = load_journal(j.write_jsonl(tmp_path / "j.jsonl"))
+
+        def rows(view):
+            return [
+                (s.span_id, s.name, s.start, s.end, s.parent_id, s.attrs)
+                for s in view.spans
+            ]
+
+        assert rows(SpanRecorder.from_journal(clone)) == rows(
+            SpanRecorder.from_journal(j)
+        )
 
     def test_render_timeline_shows_tree(self):
-        rec = SpanRecorder()
-        now = [0.0]
-        rec.clock = lambda: now[0]
-        root = rec.start("session")
-        now[0] = 2.0
-        rec.event("port_close", parent=root)
-        now[0] = 4.0
-        rec.end(root)
-        text = rec.render_timeline()
-        assert "session" in text
-        assert "  port_close" in text  # indented under the root
+        view = SpanRecorder.from_journal(_lifecycle_journal())
+        text = view.render_timeline(view.find("session"))
+        assert text.startswith("session [honeypot=9 epoch=2]")
+        # Indented under its intra-AS session, two levels below the root.
+        assert "\n    port_close [host=7]" in text
+        assert "(open)" in text  # the unclosed intra-AS session
         assert "*" in text  # event marker
+        assert "epoch_roll" not in text
+
+
+class TestSessionRendezvous:
+    """``Telemetry.open_session``/``close_session`` on one key."""
+
+    @staticmethod
+    def _names(tele):
+        return [e.name for e in tele.journal.events]
+
+    def test_close_session_is_idempotent(self):
+        tele = Telemetry(Simulator())
+        tele.open_session(7, 1)
+        tele.close_session(7, 1, reason="cancel")
+        tele.close_session(7, 1, reason="again")
+        assert self._names(tele) == ["session_open", "session_close"]
+        assert tele.journal.events[1].attrs["reason"] == "cancel"
+
+    def test_reopen_of_closed_key_records_no_second_open(self):
+        tele = Telemetry(Simulator())
+        tele.open_session(7, 1)
+        tele.close_session(7, 1)
+        tele.open_session(7, 1)
+        tele.close_session(7, 1)
+        assert self._names(tele) == ["session_open", "session_close"]
+        assert tele.registry.value("honeypot_sessions_total") == 1
+
+    def test_close_without_open_records_nothing(self):
+        tele = Telemetry(Simulator())
+        tele.close_session(7, 1)
+        tele.open_session(7, 1)
+        tele.close_session(7, 1)
+        assert self._names(tele) == ["session_open", "session_close"]
+
+    def test_open_session_returns_the_journal_root(self):
+        tele = Telemetry(Simulator())
+        root = tele.open_session(7, 1, server_index=0)
+        assert root is tele.journal_root(7, 1)
+        assert tele.open_session(7, 1) is root
+        assert (root.name, root.attrs) == (
+            "session_open", {"honeypot": 7, "epoch": 1, "server_index": 0},
+        )
+
+    def test_bind_resets_session_keys(self):
+        tele = Telemetry(Simulator())
+        tele.open_session(7, 1)
+        tele.close_session(7, 1)
+        tele.bind(Simulator())
+        tele.open_session(7, 1)
+        tele.close_session(7, 1)
+        assert self._names(tele) == [
+            "session_open", "session_close", "session_open", "session_close",
+        ]
+        assert tele.journal.events[3].parent_id == 2
 
 
 class TestProfiler:
@@ -218,16 +307,20 @@ class TestExport:
     def test_json_artifact_round_trip(self, tmp_path):
         tele = Telemetry()
         tele.registry.counter("c").inc(2)
-        root = tele.spans.start("session")
-        tele.spans.end(root, at=1.0)
+        tele.close_session(5, 1)
+        tele.open_session(5, 1)
+        tele.close_session(5, 1)
         path = tmp_path / "artifact.json"
         tele.write(path)
         data = load_json(path)
         assert data["schema"] == "repro.obs/1"
+        assert "spans" not in data  # the journal is the one recorder
         clone = MetricsRegistry.from_dict(data["metrics"])
         assert clone.as_dict() == tele.registry.as_dict()
-        spans = SpanRecorder.from_dicts(data["spans"])
-        assert spans.to_dicts() == tele.spans.to_dicts()
+        journal = load_journal(path)
+        assert journal.to_dicts() == tele.journal.to_dicts()
+        (session,) = SpanRecorder.from_journal(journal).spans
+        assert session.name == "session" and session.end is not None
 
     def test_write_json_coerces_numpy(self, tmp_path):
         import numpy as np
@@ -420,14 +513,18 @@ class TestTelemetryIntegration:
 
     def test_fixed_seed_artifact_is_identical(self):
         """Zero-drift regression: same seed, same artifact, bit for bit
-        (span ids, times, counter values — everything but wall time)."""
+        (journal ids, times, counter values — everything but wall time)."""
         artifacts = []
         for _ in range(2):
             tele = Telemetry()
             self._trial(tele)
             artifacts.append(
-                {"metrics": tele.registry.as_dict(), "spans": tele.spans.to_dicts()}
+                {
+                    "metrics": tele.registry.as_dict(),
+                    "journal": tele.journal.to_dicts(),
+                }
             )
+        assert artifacts[0]["journal"]
         assert artifacts[0] == artifacts[1]
 
     def test_trial_produces_session_spans_and_metrics(self):
@@ -435,8 +532,9 @@ class TestTelemetryIntegration:
         captured = self._trial(tele)
         assert captured is not None
         assert tele.registry.value("node_packets_received_total") > 0
-        assert tele.spans.find("honeypot_session")
-        assert tele.spans.find("port_close")
+        view = SpanRecorder.from_journal(tele.journal)
+        assert view.find("session")
+        assert view.find("port_close")
         hist = tele.registry.histogram("capture_time_seconds")
         assert hist.count == 1
         assert hist.sum == pytest.approx(captured)
@@ -461,7 +559,8 @@ class TestTelemetryIntegration:
         res = run_tree_scenario(params, telemetry=tele)
         # At least one honeypot session progressed all the way from
         # open to port close and was torn down.
-        complete = tele.spans.complete_trees("port_close")
+        view = SpanRecorder.from_journal(tele.journal)
+        complete = view.complete_trees("port_close")
         assert complete
         assert res.capture_times
         # The per-class delivery counters made it into the registry.
@@ -491,10 +590,9 @@ class TestArtifactMerging:
         tele.registry.histogram(
             "lat", buckets=(1.0, 5.0)
         ).observe(0.5 + seed)
-        root = tele.spans.start("session", at=0.0, seed=seed)
-        child = tele.spans.start("probe", at=1.0, parent=root)
-        tele.spans.end(child, at=2.0)
-        tele.spans.end(root, at=3.0)
+        root = tele.journal.record("session_open", at=0.0, seed=seed)
+        tele.journal.record("port_close", parent=root, at=1.0)
+        tele.journal.record("session_close", parent=root, at=3.0)
         tele.profiler.runs += 1
         tele.profiler.events += 100 * (seed + 1)
         tele.profiler.sim_time += 10.0
@@ -513,22 +611,6 @@ class TestArtifactMerging:
         assert prof["runs"] == 2
         assert prof["events_processed"] == 300
         assert prof["heap_hwm_events"] == 51
-
-    def test_absorb_offsets_span_ids_preserving_links(self):
-        from repro.parallel import absorb_artifact
-
-        parent = Telemetry()
-        absorb_artifact(parent, self._worker_artifact(0))
-        absorb_artifact(parent, self._worker_artifact(1))
-        spans = parent.spans.spans
-        assert len(spans) == 4
-        # All ids unique after offsetting; children point at their own
-        # worker's root, not the other's.
-        assert len({s.span_id for s in spans}) == 4
-        for root in parent.spans.roots():
-            kids = parent.spans.children(root)
-            assert [k.name for k in kids] == ["probe"]
-            assert kids[0].parent_id == root.span_id
 
     def test_extras_use_setdefault_semantics(self):
         from repro.parallel import absorb_artifact

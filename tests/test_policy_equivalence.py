@@ -13,8 +13,16 @@ subsystem promised not to do.
 change — the pre-fix bot leaked a stale start event and a poll timer),
 so it guards the policy-layer follower against future drift rather
 than proving pre-refactor identity.
+
+``interas.jsonl`` and ``hierarchical.jsonl`` pin the defense-lifecycle
+journals of the two back-propagation engines that do not run through
+the tree scenario: a progressive :class:`InterASBackprop` on an AS chain
+and a progressive :class:`HierarchicalBackprop` against a bursty
+attacker.  Regenerate them (only for a deliberate behaviour change)
+with ``PYTHONPATH=src python -m tests.test_policy_equivalence``.
 """
 
+import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,6 +31,7 @@ import pytest
 from repro.experiments.runner import run_many
 from repro.experiments.scenarios import TreeScenarioParams
 from repro.obs import Telemetry
+from repro.sim.engine import Simulator
 
 FIXTURES = Path(__file__).parent / "fixtures" / "journals"
 
@@ -84,3 +93,113 @@ class TestLegacyEquivalence:
         ea = [e.as_dict() for e in a.journal.events]
         eb = [e.as_dict() for e in b.journal.events]
         assert ea == eb
+
+
+def interas_journal() -> Telemetry:
+    """Progressive inter-AS traceback down a 20-transit-AS chain: one
+    continuous and one on-off attacker in the stub, roughly half the
+    epochs honeypot epochs, so sessions stall, report their frontier
+    and resume before the stub closes both attackers' ports."""
+    import networkx as nx
+
+    from repro.backprop.interas import (
+        ASAttackerSpec,
+        InterASBackprop,
+        InterASConfig,
+    )
+    from repro.honeypots.schedule import BernoulliSchedule
+    from repro.topology.aslevel import ASTopology
+
+    hops = 20
+    graph = nx.path_graph(hops + 2)
+    for node in graph.nodes:
+        graph.nodes[node]["transit"] = 0 < node < hops + 1
+    topo = ASTopology(
+        graph=graph,
+        victim_as=0,
+        transit_ases=list(range(1, hops + 1)),
+        stub_ases=[hops + 1],
+    )
+    sim = Simulator()
+    telemetry = Telemetry(sim)
+    engine = InterASBackprop(
+        topo,
+        BernoulliSchedule(0.5, 10.0, seed=3),
+        [
+            ASAttackerSpec(1, hops + 1, 10.0),
+            ASAttackerSpec(2, hops + 1, 10.0, t_on=1.0, t_off=9.0, phase=2.0),
+        ],
+        InterASConfig(tau=0.5, per_hop_delay=0.05, intra_as_capture_delay=0.5),
+        progressive=True,
+        sim=sim,
+        telemetry=telemetry,
+    )
+    engine.run(until=100.0)
+    return telemetry
+
+
+def hierarchical_journal() -> Telemetry:
+    """Progressive hierarchical traceback across 5 AS hops against an
+    attacker sending 0.5 s bursts once per 10 s epoch (too short to walk
+    every hop in one epoch), so the frontier list resumes it."""
+    from repro.backprop.hierarchical import (
+        HierarchicalBackprop,
+        build_multi_as_network,
+    )
+    from repro.backprop.intraas import IntraASConfig
+    from repro.traffic.sources import CBRSource, OnOffSource
+
+    topo = build_multi_as_network([1, 0, 0, 0, 0, 1])
+    sim = topo.network.sim
+    telemetry = Telemetry(sim)
+    HierarchicalBackprop(
+        topo, epoch_len=10.0, progressive=True,
+        config=IntraASConfig(trigger_threshold=2), telemetry=telemetry,
+    )
+    host = topo.sites[5].hosts[0]
+    cbr = CBRSource(
+        sim, host, topo.server.addr, rate_bps=4e4, packet_size=500,
+        flow=("attack", host.addr), src_fn=lambda: 1_000_000_123,
+    )
+    OnOffSource(sim, cbr, t_on=0.5, t_off=9.5).start(at=1.0)
+    topo.network.run(until=100.0)
+    return telemetry
+
+
+BACKPROP_POINTS = {
+    "interas.jsonl": interas_journal,
+    "hierarchical.jsonl": hierarchical_journal,
+}
+
+
+class TestBackpropJournals:
+    """The inter-AS and hierarchical engines' journals, byte for byte."""
+
+    @pytest.mark.parametrize("fixture", sorted(BACKPROP_POINTS))
+    def test_journal_bytes_unchanged(self, fixture, tmp_path):
+        out = tmp_path / fixture
+        BACKPROP_POINTS[fixture]().journal.write_jsonl(out)
+        expected = (FIXTURES / fixture).read_bytes()
+        got = out.read_bytes()
+        assert got == expected, (
+            f"{fixture}: journal drifted from the committed fixture "
+            f"({len(got)} vs {len(expected)} bytes); regenerate it only "
+            f"for a deliberate behaviour change."
+        )
+
+    @pytest.mark.parametrize("fixture", sorted(BACKPROP_POINTS))
+    def test_fixture_covers_the_defense_lifecycle(self, fixture):
+        # Non-vacuity: a fixture holding only run markers would pin
+        # nothing the back-propagation code records.
+        names = {
+            json.loads(line)["name"]
+            for line in (FIXTURES / fixture).read_text().splitlines()
+            if '"name"' in line
+        }
+        for kind in ("port_close", "progressive_resume", "as_session_close"):
+            assert kind in names, f"{fixture} records no {kind}"
+
+
+if __name__ == "__main__":
+    for name, build in BACKPROP_POINTS.items():
+        build().journal.write_jsonl(FIXTURES / name)
