@@ -26,9 +26,6 @@ Usage::
     python -m repro profile --scale quick --trace run.trace.json
     python -m repro critical-path run.jsonl
     python -m repro shardplan run.jsonl --by as --out plan.json
-    python -m repro shardplan run.jsonl --emit-config shards.json --shards 4
-    python -m repro stats --scale quick --defense none --shards 4 \
-        --shard-config shards.json
     python -m repro report run.jsonl --critical --html report.html
 
 ``--metrics-out FILE`` on a figure command (and on ``stats`` and
@@ -64,9 +61,7 @@ a scenario with per-dimension engine attribution (wall-time per
 callback kind × module × subtree shard), ``critical-path`` computes
 work/span/available-parallelism and explains what bounded each capture,
 ``shardplan`` evaluates a candidate topology cut (per-shard load,
-cross-shard edges, conservative lookahead) and with ``--emit-config``
-writes the ``repro.shardconfig/1`` assignment that ``--shards N``
-execution consumes, ``kinds`` prints the
+cross-shard edges, conservative lookahead), ``kinds`` prints the
 ``repro.journal/1`` event vocabulary, and ``--trace FILE`` on the
 analysis commands exports a Chrome trace-event JSON loadable in
 Perfetto (https://ui.perfetto.dev).  All journal-reading commands
@@ -78,15 +73,10 @@ serial run.  ``sweep`` runs an arbitrary one-parameter sweep over the
 pool with per-task timeout, retry, and quarantine; its exit code is 0
 when every point completed and 3 on partial failure (quarantined
 points are listed in the ``--out`` artifact, and completed work is
-reusable via ``--checkpoint``).
-
-``--shards N`` on ``stats`` runs the scenario conservatively sharded
-over N per-AS subtree groups, one forked worker each
-(:mod:`repro.sim.shard`).  Only defense-free continuous workloads fit
-that envelope; ``--shards`` implies the per-host RNG discipline, so
-``--shards 1`` is the serial twin whose causal journal a forked run
-reproduces byte for byte (gated in CI).  ``--shard-config FILE`` takes
-a ``repro.shardconfig/1`` assignment from ``shardplan --emit-config``.
+reusable via ``--checkpoint``).  A checkpoint written by an
+incompatible version is rejected with one ``error:`` line and exit 2.
+Every scenario runs serially in one process; the ``shardplan`` cut
+advisor is analysis only.
 """
 
 from __future__ import annotations
@@ -345,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="event-scheduler policy (default: $REPRO_SCHEDULER, "
         "else auto); the journal is identical under all policies",
     )
-    _add_shard_args(s)
     s.add_argument(
         "--metrics-out",
         metavar="FILE",
@@ -491,21 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         default=None,
         help="write the validated repro.shardplan/1 artifact as JSON",
-    )
-    sp.add_argument(
-        "--emit-config",
-        metavar="FILE",
-        default=None,
-        help="also bin-pack the plan's shards onto N groups and write "
-        "the repro.shardconfig/1 assignment the sharded engine consumes "
-        "(repro stats --shards N --shard-config FILE)",
-    )
-    sp.add_argument(
-        "--shards",
-        type=int,
-        default=2,
-        metavar="N",
-        help="group count for --emit-config (default: 2)",
     )
     sp.add_argument(
         "--trace",
@@ -751,18 +725,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from dataclasses import replace
 
         from .experiments.figures import _scenario_base
-        from .experiments.scenarios import check_fork_envelope, run_tree_scenario
+        from .experiments.scenarios import run_tree_scenario
         from .obs import Telemetry
-        from .sim.shard import ShardError
 
         telemetry = Telemetry()
-        params = _apply_shard_args(
-            _apply_policy_args(
-                replace(
-                    _scenario_base(args.scale, args.scheduler),
-                    defense=args.defense,
-                ),
-                args,
+        params = _apply_policy_args(
+            replace(
+                _scenario_base(args.scale, args.scheduler),
+                defense=args.defense,
             ),
             args,
         )
@@ -774,35 +744,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 path=args.stream_out,
                 interval=resolve_stream_interval(args.stream_interval),
             )
-        # Sharding setup errors (fork envelope, malformed --shard-config,
-        # a config group outside the requested count) are usage errors.
-        try:
-            check_fork_envelope(params, stream=stream)
-            shard_config = _load_shard_config(args)
-        except (ShardError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        try:
-            result = run_tree_scenario(
-                params, telemetry=telemetry, stream=stream, shard_config=shard_config
-            )
-        except ShardError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        result = run_tree_scenario(params, telemetry=telemetry, stream=stream)
         # Write the artifacts before printing: stdout may be a closed
         # pipe (`... | head`), and the artifacts must survive that.
         path = telemetry.write(args.metrics_out) if args.metrics_out else None
         journal_path = _write_journal(telemetry, args.journal_out)
         try:
             print(telemetry.render())
-            forked = telemetry.extra.get("forked")
-            if forked:
-                print(
-                    f"forked: {forked['shards']} worker(s), "
-                    f"{forked['windows']} sync windows, "
-                    f"{forked['boundary_messages']} boundary messages "
-                    f"(lookahead {forked['lookahead']:g} s)"
-                )
             print(
                 f"legit throughput during attack: "
                 f"{result.legit_pct_during_attack:.1f}% of bottleneck"
@@ -893,48 +841,6 @@ def _apply_policy_args(base, args):
     return replace(base, **kwargs)
 
 
-def _add_shard_args(p: argparse.ArgumentParser) -> None:
-    """``--shards``/``--shard-config`` on ``stats``: forked sharded
-    execution (:mod:`repro.sim.shard`)."""
-    p.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="run the scenario over N forked per-AS subtree workers "
-        "(defense-free continuous workloads only); implies "
-        "rng_discipline per-host, so --shards 1 is the serial twin and "
-        "the journal is byte-identical across N",
-    )
-    p.add_argument(
-        "--shard-config",
-        metavar="FILE",
-        default=None,
-        help="repro.shardconfig/1 assignment from `repro shardplan "
-        "--emit-config` pinning subtree labels to shard groups",
-    )
-
-
-def _apply_shard_args(base, args):
-    """Fold ``--shards`` into the scenario params, with the per-host RNG
-    discipline forked execution requires (a no-op without the flag)."""
-    from dataclasses import replace
-
-    if args.shards is None:
-        return base
-    return replace(base, shards=args.shards, rng_discipline="per-host")
-
-
-def _load_shard_config(args):
-    """The parsed ``--shard-config`` document (or None)."""
-    path = getattr(args, "shard_config", None)
-    if not path:
-        return None
-    from .sim.shard import load_shard_config
-
-    return load_shard_config(path)
-
-
 def _add_stream_dir_args(p: argparse.ArgumentParser) -> None:
     """``--stream-dir``/``--stream-interval`` for multi-run commands."""
     p.add_argument(
@@ -990,7 +896,7 @@ def _run_sweep_command(args) -> int:
     from dataclasses import replace
 
     from .experiments.figures import _scenario_base
-    from .experiments.runner import run_sweep
+    from .experiments.runner import result_from_dict, run_sweep
     from .obs.export import write_json
     from .parallel import PoolConfig, SweepCheckpoint, resolve_jobs
 
@@ -1005,7 +911,18 @@ def _run_sweep_command(args) -> int:
         timeout=args.timeout,
         max_attempts=args.max_attempts,
     )
-    checkpoint = SweepCheckpoint(args.checkpoint) if args.checkpoint else None
+    checkpoint = None
+    if args.checkpoint:
+        # Decode every stored result before running anything, so a
+        # checkpoint from an incompatible version is a usage error up
+        # front rather than a traceback after the fresh tasks ran.
+        try:
+            checkpoint = SweepCheckpoint(args.checkpoint)
+            for task_id in checkpoint.task_ids():
+                result_from_dict(checkpoint.get(task_id)["value"]["result"])
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     telemetry = None
     if args.metrics_out or args.journal_out or args.profile:
         from .obs import Telemetry
@@ -1245,7 +1162,6 @@ def _run_shardplan_command(args) -> int:
     from .obs.shardplan import (
         ShardPlanError,
         assign_shards,
-        emit_shard_config,
         render_shardplan,
         shard_plan,
         validate_shardplan,
@@ -1259,20 +1175,10 @@ def _run_shardplan_command(args) -> int:
         return 1
     validate_shardplan(plan)  # the emitted artifact is always valid
     out_path = None
-    config_path = None
     if args.out:
         from .obs.export import write_json
 
         out_path = write_json(args.out, plan)
-    if args.emit_config:
-        from .obs.export import write_json
-
-        try:
-            config = emit_shard_config(plan, args.shards)
-        except ShardPlanError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        config_path = write_json(args.emit_config, config)
     trace_path = None
     if args.trace:
         trace_path = _export_trace(
@@ -1282,8 +1188,6 @@ def _run_shardplan_command(args) -> int:
         print(render_shardplan(plan))
         if out_path:
             print(f"shardplan artifact written to {out_path}")
-        if config_path:
-            print(f"shard config written to {config_path}")
         if trace_path:
             print(f"Perfetto trace written to {trace_path}")
     except BrokenPipeError:

@@ -12,7 +12,7 @@ sweep with exactly the missing tasks.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -75,7 +75,20 @@ def result_to_dict(result: TreeScenarioResult) -> Dict[str, Any]:
 
 
 def result_from_dict(d: Dict[str, Any]) -> TreeScenarioResult:
-    """Inverse of :func:`result_to_dict` (pool workers ship dicts)."""
+    """Inverse of :func:`result_to_dict` (pool workers ship dicts).
+
+    Raises ValueError naming any ``params`` key that
+    :class:`TreeScenarioParams` no longer has (e.g. a checkpoint written
+    by an older version), instead of a bare TypeError.
+    """
+    known = {f.name for f in fields(TreeScenarioParams)}
+    unknown = sorted(set(d["params"]) - known)
+    if unknown:
+        raise ValueError(
+            "unknown scenario params field(s) "
+            + ", ".join(repr(k) for k in unknown)
+            + " (written by an incompatible version)"
+        )
     return TreeScenarioResult(
         params=TreeScenarioParams(**d["params"]),
         times=list(d["times"]),
@@ -136,15 +149,6 @@ def run_scenario_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     from ..obs import Telemetry  # local import keeps workers lean
 
     params: TreeScenarioParams = payload["params"]
-    requested = params
-    if params.shards > 1:
-        # A pool worker is already one process per task; forking shard
-        # workers underneath it would oversubscribe the machine.  One
-        # shard is the serial twin of a forked run (journal-identical),
-        # so demoting is result-neutral — the result keeps the
-        # *requested* params so serial and pooled sweeps still ship
-        # byte-identical artifacts.
-        params = replace(params, shards=1)
     telemetry = Telemetry() if payload.get("telemetry") else None
     if telemetry is not None:
         # at=0.0: the scenario's simulator clock starts there; a serial
@@ -164,8 +168,6 @@ def run_scenario_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     )
     if telemetry is not None:
         telemetry.journal.record("pool_task_finish", task=payload.get("task"))
-    if params is not requested:
-        result.params = requested
     return {
         "result": result_to_dict(result),
         "telemetry": telemetry.artifact() if telemetry is not None else None,

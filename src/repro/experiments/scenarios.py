@@ -28,7 +28,6 @@ from ..honeypots.roaming import RoamingServerPool
 from ..honeypots.schedule import RoamingSchedule
 from ..honeypots.subscription import SubscriptionService
 from ..pushback.protocol import PushbackConfig
-from ..sim import shard as shard_mod
 from ..sim.engine import Simulator
 from ..sim.monitor import ThroughputMonitor, mean_over_window
 from ..sim.network import Network
@@ -47,7 +46,6 @@ from ..traffic.policies import NULL_PROBES, BotEnv, DefenseProbes, make_policy
 __all__ = [
     "TreeScenarioParams",
     "TreeScenarioResult",
-    "check_fork_envelope",
     "run_tree_scenario",
     "paper_scale",
     "PARAMETER_TABLE",
@@ -113,20 +111,6 @@ class TreeScenarioParams:
     # the engine default (REPRO_SCHEDULER env var, else auto).  The
     # journal is byte-identical across policies (see repro.sim.engine).
     scheduler: Optional[str] = None
-    # Conservative sharded execution (repro.sim.shard.run_forked):
-    # ``shards`` is the requested shard count (0/1 = serial); more than
-    # one forks a worker per shard, which only the fork envelope
-    # (check_fork_envelope) admits.  Degenerate cuts fall back to
-    # serial.  The journal is byte-identical to the serial run.
-    shards: int = 0
-    # RNG stream discipline: "shared" (legacy — one stream for all
-    # clients, one for all attackers) or "per-host" (independent
-    # derived stream per leaf, plus an attacker start stagger within
-    # one packet interval).  Per-host streams make every host's draw
-    # sequence independent of event interleaving across shards, which
-    # fork-mode execution requires; they change the sampled workload,
-    # so the two disciplines are distinct (journal-stable) scenarios.
-    rng_discipline: str = "shared"
 
     @property
     def n_clients(self) -> int:
@@ -226,49 +210,11 @@ def _build_defense(
     raise ValueError(f"unknown defense {params.defense!r}")
 
 
-def check_fork_envelope(
-    params: TreeScenarioParams, stream=None, profile: bool = False
-) -> None:
-    """Raise ValueError unless ``params`` may run with ``shards > 1``.
-
-    Forked execution runs each shard's callbacks on a private copy of
-    the object graph, so it is restricted to workloads whose every
-    scheduled callback resolves to one shard and whose RNG draws are
-    independent of cross-shard interleaving.  ``shards`` of 0 or 1
-    always passes.
-    """
-    if params.shards < 0:
-        raise ValueError(f"shards must be >= 0 (got {params.shards})")
-    if params.shards <= 1:
-        return
-    blockers = []
-    if params.defense != "none":
-        blockers.append(f"defense={params.defense!r} (need 'none')")
-    if params.attacker_policy != "continuous":
-        blockers.append(
-            f"attacker_policy={params.attacker_policy!r} (need 'continuous')"
-        )
-    if params.n_amplifiers:
-        blockers.append(f"n_amplifiers={params.n_amplifiers} (need 0)")
-    if params.rng_discipline != "per-host":
-        blockers.append(f"rng_discipline={params.rng_discipline!r} (need 'per-host')")
-    if stream is not None:
-        blockers.append("live streaming (per-process)")
-    if profile:
-        blockers.append("profile dimensions (per-process)")
-    if blockers:
-        raise ValueError(
-            f"shards={params.shards} (forked execution) does not support: "
-            + "; ".join(blockers)
-        )
-
-
 def run_tree_scenario(
     params: TreeScenarioParams,
     telemetry=None,
     stream=None,
     profile=False,
-    shard_config=None,
 ) -> TreeScenarioResult:
     """Build, run, and measure one tree-scenario simulation.
 
@@ -291,9 +237,6 @@ def run_tree_scenario(
     (:func:`~repro.topology.tree.subtree_partition`).  Attribution only
     reads — journals stay byte-identical with profiling on or off.
     """
-    if params.rng_discipline not in ("shared", "per-host"):
-        raise ValueError(f"unknown rng_discipline {params.rng_discipline!r}")
-    check_fork_envelope(params, stream=stream, profile=profile)
     if not 0 <= params.n_attackers <= params.n_leaves:
         raise ValueError("n_attackers out of range")
     if params.n_attackers + params.n_amplifiers > params.n_leaves:
@@ -322,15 +265,6 @@ def run_tree_scenario(
         bottleneck_bw=params.bottleneck_bw,
     )
     topo = build_tree_topology(tree_params, rngs.stream("topology"))
-    # Sharded execution: partition into per-AS subtrees; degenerate
-    # cuts (one effective shard / no positive lookahead) run serially.
-    layout = None
-    if params.shards > 1:
-        layout = shard_mod.shard_layout(
-            topo.graph, subtree_partition(topo), params.shards, config=shard_config
-        )
-        if not layout.parallel:
-            layout = None
     net = Network.from_graph(topo.graph, sim=Simulator(scheduler=params.scheduler))
 
     attacker_ids, client_ids = assign_roles(
@@ -451,15 +385,11 @@ def run_tree_scenario(
         )
 
     # --- Legitimate clients -------------------------------------------
-    # "shared" keeps the legacy single client stream; "per-host" derives
-    # an independent stream per leaf so a host's draw sequence does not
-    # depend on how events interleave across shards.
-    per_host = params.rng_discipline == "per-host"
-    client_rng = None if per_host else rngs.stream("clients")
+    # One stream for all clients, drawn in client order.
+    client_rng = rngs.stream("clients")
     clients = []
     for leaf in client_ids:
         host = net.nodes[leaf]
-        rng = rngs.stream(f"client.{leaf}") if per_host else client_rng
         if service is not None:
             sub = service.subscribe(0.0, "high")
             app = RoamingClientApp(
@@ -468,7 +398,7 @@ def run_tree_scenario(
                 sub,
                 topo.server_ids,
                 params.client_rate,
-                rng,
+                client_rng,
                 params.packet_size,
                 jitter=params.jitter,
             )
@@ -478,40 +408,25 @@ def run_tree_scenario(
                 host,
                 topo.server_ids,
                 params.client_rate,
-                rng,
+                client_rng,
                 params.packet_size,
                 jitter=params.jitter,
             )
         # Stagger client start within one packet interval to avoid
         # phase-locked bursts at t=0.
-        app.start(at=float(rng.uniform(0.0, 0.2)))
+        app.start(at=float(client_rng.uniform(0.0, 0.2)))
         clients.append(app)
 
     # --- Attackers -----------------------------------------------------
     # ``attackers`` is the seed per-bot stream (target/spoof/phase draws
     # in the legacy order); ``attacker-policy`` is a separate stream for
     # policy-level decisions, so adaptive policies never perturb it.
-    attack_rng = None if per_host else rngs.stream("attackers")
-    policy_rng = None if per_host else rngs.stream("attacker-policy")
+    attack_rng = rngs.stream("attackers")
+    policy_rng = rngs.stream("attacker-policy")
     server_addrs = tuple(int(s) for s in topo.server_ids)
     amplifier_addrs = tuple(int(a) for a in amplifier_ids)
-    # Per-host attack starts stagger within one packet interval: with a
-    # common start instant, equal-depth zombies in different subtrees
-    # produce exactly tied arrivals, and tie order is the one thing a
-    # distributed run cannot reproduce.  The stagger is at most one
-    # inter-packet gap, so attack timing is unchanged at workload scale.
-    stagger_span = (
-        params.packet_size * 8.0 / params.attacker_rate
-        if params.attacker_rate > 0
-        else 0.0
-    )
     zombies = []
     for leaf in attacker_ids:
-        if per_host:
-            bot_rng = rngs.stream(f"attacker.{leaf}")
-            bot_policy_rng = rngs.stream(f"attacker-policy.{leaf}")
-        else:
-            bot_rng, bot_policy_rng = attack_rng, policy_rng
         env = BotEnv(
             sim=net.sim,
             host=net.nodes[leaf],
@@ -519,17 +434,14 @@ def run_tree_scenario(
             rate_bps=params.attacker_rate,
             packet_size=params.packet_size,
             jitter=params.jitter,
-            rng=bot_rng,
-            policy_rng=bot_policy_rng,
+            rng=attack_rng,
+            policy_rng=policy_rng,
             probes=probes,
             amplifiers=amplifier_addrs,
             journal=journal,
         )
         z = policy.spawn(env)
-        start_at = params.attack_start
-        if per_host:
-            start_at += float(bot_rng.uniform(0.0, stagger_span))
-        z.start(at=start_at)
+        z.start(at=params.attack_start)
         net.sim.schedule_at(params.attack_end, z.stop)
         zombies.append(z)
 
@@ -551,12 +463,8 @@ def run_tree_scenario(
     )
     monitor.start()
 
-    shard_stats: Optional[Dict[str, Any]] = None
     try:
-        if layout is not None:
-            shard_stats = shard_mod.run_forked(net, layout, params.duration)
-        else:
-            net.run(until=params.duration)
+        net.run(until=params.duration)
     except BaseException:
         if streamer is not None:
             streamer.close()
@@ -591,8 +499,6 @@ def run_tree_scenario(
 
     if telemetry is not None:
         telemetry.snapshot_network(net)
-        if shard_stats is not None:
-            telemetry.extra.setdefault("forked", shard_stats)
         telemetry.record_stats(defense.stats(), prefix=f"{defense.name}_")
         telemetry.extra.setdefault("throughput", monitor.to_dict())
         entry = {

@@ -22,7 +22,7 @@ byte-identical with it on or off.
 :mod:`repro.obs.critical`, :mod:`repro.obs.shardplan`, and
 :mod:`repro.obs.traceexport` are the *replay-side* analysis layer:
 work/span/available-parallelism over the causal journal, shard-cut
-evaluation for the planned sharded parallel DES, and Chrome
+evaluation for conservative parallel DES (analysis only), and Chrome
 trace-event export for Perfetto — all computed from journal files
 after the run, never from the engine.
 """

@@ -1,16 +1,17 @@
 """Critical-path analysis over the causal journal (``repro.critical/1``).
 
-The ROADMAP's sharded parallel DES is only worth building if the
-workload actually contains parallelism, and the causal journal already
-holds the answer: each ``parent -> child`` link is a dependency edge
+How much parallelism a recorded run contains is answered by its
+causal journal: each ``parent -> child`` link is a dependency edge
 whose *cost* is the simulated-time delta between the two events.  Over
 that forest this module computes the classic work/span decomposition:
 
 * **work** — the sum of all edge costs (total sequential footprint);
 * **span** — the cost of the most expensive root-to-node chain (the
   time-weighted critical path nothing can shorten);
-* **available parallelism** = work / span — the single number that
-  upper-bounds sharded-DES speedup (Brent's bound).
+* **available parallelism** = work / span — Brent's bound on speeding
+  up the *journaled* causal structure.  A defended run's journal holds
+  protocol events, not packet events, so this does not bound a
+  packet-level parallel engine.
 
 It also explains individual outcomes: for every capture event
 (``port_close`` by default) the full causal chain back to its session

@@ -12,8 +12,12 @@ module closes the loop:
   file's ``default_rel_tol``");
 * :func:`compare_to_baseline` checks a fresh summary against it and
   classifies every metric as ``ok`` / ``fail`` / ``new`` /
-  ``missing`` — only ``fail`` gates (new and vanished metrics are
-  reported but tolerated, so adding a bench never breaks CI);
+  ``not run`` — only ``fail`` gates.  A new metric is reported but
+  tolerated, so adding a bench never breaks CI; a baseline bench absent
+  from the summary is ``not run`` (benches run in separate jobs); but a
+  gated metric that vanishes from a bench that *did* run fails, so a
+  gate cannot pass by going silent.  A bench is retired by deleting
+  its entry from the baseline;
 * :func:`write_trajectory_point` appends a ``BENCH_<n>.json``
   trajectory point (next free index in the output directory), giving
   the run-over-run history a durable, diffable form;
@@ -59,7 +63,7 @@ class MetricCheck:
 
     bench: str
     metric: str
-    status: str  # "ok" | "fail" | "new" | "missing"
+    status: str  # "ok" | "fail" | "new" | "not run"
     value: Optional[Any] = None
     baseline: Optional[Any] = None
     rel_tol: Optional[float] = None
@@ -185,9 +189,10 @@ def compare_to_baseline(
 ) -> RegressReport:
     """Check a fresh bench summary against the committed baseline.
 
-    Only metrics present in *both* are gated; metrics that appeared
-    (``new``) or vanished (``missing``) are reported without failing
-    the run, so the tracker never blocks adding or retiring a bench.
+    Every baseline metric of a bench present in the summary is gated:
+    out of band, or absent from the bench's metrics, is ``fail``.
+    Baseline benches absent from the summary are ``not run`` and
+    metrics absent from the baseline are ``new``; neither gates.
     """
     default_rel_tol = float(baseline.get("default_rel_tol", DEFAULT_REL_TOL))
     benches: Dict[str, Any] = baseline.get("benches", {})
@@ -196,15 +201,17 @@ def compare_to_baseline(
     for bench in sorted(benches):
         base_metrics: Dict[str, Any] = benches[bench].get("metrics", {})
         entry = summary.get(bench)
-        current: Dict[str, Any] = (
-            entry.get("metrics", {}) if isinstance(entry, dict) else {}
-        )
+        ran = isinstance(entry, dict)
+        current: Dict[str, Any] = entry.get("metrics", {}) if ran else {}
         for metric in sorted(base_metrics):
             spec = _spec_of(base_metrics[metric], default_rel_tol)
             if metric not in current:
                 report.checks.append(
                     MetricCheck(
-                        bench, metric, "missing", baseline=spec.get("value")
+                        bench,
+                        metric,
+                        "fail" if ran else "not run",
+                        baseline=spec.get("value"),
                     )
                 )
                 continue

@@ -1,8 +1,7 @@
 """Shard-cut advisor: what would a partition cost? (``repro.shardplan/1``)
 
-Before building conservative sharded parallel DES (the ROADMAP's next
-big step) we need to evaluate candidate topology cuts *offline*.  This
-module replays a finished causal journal against a partition and
+This module evaluates candidate topology cuts for conservative
+parallel DES *offline*: it replays a finished causal journal against a partition and
 reports the three numbers a conservative-DES design lives or dies by:
 
 * **load balance** — events and causal work per shard (the slowest
@@ -22,6 +21,10 @@ with unattributed events inheriting their causal parent's shard.
 Nothing about the partition leaks into the journal itself, so the same
 byte-identical journal can be evaluated against any number of candidate
 cuts after the fact — and the determinism witness stays untouched.
+
+The advisor is analysis only.  The forked sharded engine it once fed
+was retired on measurement (slower than serial on every box that ran
+it, and unable to run a defended cell), so no runtime consumes a plan.
 """
 
 from __future__ import annotations
@@ -32,23 +35,15 @@ from .journal import Journal, build_tree
 
 __all__ = [
     "LOOKAHEAD_UNBOUNDED",
-    "SHARDCONFIG_SCHEMA",
     "SHARDPLAN_SCHEMA",
     "ShardPlanError",
     "assign_shards",
-    "emit_shard_config",
     "render_shardplan",
     "shard_plan",
-    "validate_shard_config",
     "validate_shardplan",
 ]
 
 SHARDPLAN_SCHEMA = "repro.shardplan/1"
-
-# Shard-assignment artifact the sharded engine consumes
-# (``repro shardplan --emit-config`` writes it,
-# ``repro.sim.shard.load_shard_config`` reads it).
-SHARDCONFIG_SCHEMA = "repro.shardconfig/1"
 
 # Sentinel for the degenerate no-cross-shard-edge case: with zero cross
 # edges the safe-advance window is unbounded (a single shard never
@@ -253,67 +248,6 @@ def validate_shardplan(doc: Dict[str, Any]) -> Dict[str, Any]:
         "cross_edges": cross_sum,
         "lookahead": lookahead,
     }
-
-
-def emit_shard_config(doc: Dict[str, Any], n_shards: int) -> Dict[str, Any]:
-    """Derive a ``repro.shardconfig/1`` assignment from a shard plan.
-
-    Labels from the plan's ``shards`` table are greedy bin-packed onto
-    ``n_shards`` groups by descending causal work (``core`` pinned to
-    group 0, matching the forked coordinator's shard);
-    :func:`repro.sim.shard.shard_layout` then honours this mapping for
-    every label it recognizes in its own partition.
-    """
-    summary = validate_shardplan(doc)
-    if n_shards < 1:
-        raise ShardPlanError(f"n_shards must be >= 1 (got {n_shards})")
-    shards = doc["shards"]
-    groups: Dict[str, int] = {}
-    load = [0.0] * n_shards
-    rest: List[str] = []
-    for label in shards:
-        if label == CORE_SHARD:
-            groups[label] = 0
-            load[0] += float(shards[label]["work"])
-        else:
-            rest.append(label)
-    rest.sort(key=lambda lab: (-float(shards[lab]["work"]), lab))
-    for label in rest:
-        g = min(range(n_shards), key=lambda i: (load[i], i))
-        groups[label] = g
-        load[g] += float(shards[label]["work"])
-    return {
-        "schema": SHARDCONFIG_SCHEMA,
-        "by": doc["by"],
-        "n_shards": n_shards,
-        "groups": groups,
-        "lookahead": summary["lookahead"],
-        "balance_speedup_bound": doc["balance_speedup_bound"],
-    }
-
-
-def validate_shard_config(doc: Dict[str, Any]) -> Dict[str, Any]:
-    """Structurally validate a ``repro.shardconfig/1`` document."""
-    if doc.get("schema") != SHARDCONFIG_SCHEMA:
-        raise ShardPlanError(
-            f"schema {doc.get('schema')!r} != {SHARDCONFIG_SCHEMA!r}"
-        )
-    groups = doc.get("groups")
-    if not isinstance(groups, dict) or not groups:
-        raise ShardPlanError("shard config needs a non-empty 'groups' mapping")
-    n_shards = int(doc.get("n_shards", 0))
-    if n_shards < 1:
-        raise ShardPlanError(f"n_shards must be >= 1 (got {n_shards})")
-    used = set()
-    for label, g in groups.items():
-        if not isinstance(g, int) or not 0 <= g < n_shards:
-            raise ShardPlanError(
-                f"group for {label!r} must be an int in [0, {n_shards}) (got {g!r})"
-            )
-        used.add(g)
-    if CORE_SHARD in groups and groups[CORE_SHARD] != 0:
-        raise ShardPlanError("the 'core' label must map to group 0")
-    return {"n_shards": n_shards, "labels": len(groups), "groups_used": len(used)}
 
 
 def render_shardplan(doc: Dict[str, Any], top: int = 10) -> str:

@@ -156,14 +156,6 @@ class Simulator:
         # so the journal is identical with or without a stream.
         self.stream: Optional[Any] = None
         self.timer_jitter_clamps: int = 0
-        # Cross-shard intercept seam (repro.sim.shard forked workers
-        # install this).  When set, schedule_at offers every schedule to
-        # the shunt first; a True return means the event was captured as
-        # an outgoing boundary message and must not enter the local
-        # scheduler.  None costs one attribute test per schedule.
-        self._shunt: Optional[Callable[[float, Callable[..., Any], tuple], bool]] = (
-            None
-        )
 
         if scheduler is None:
             scheduler = os.environ.get("REPRO_SCHEDULER") or "auto"
@@ -227,16 +219,6 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time} before current time t={self.now}"
             )
-        shunt = self._shunt
-        if shunt is not None and shunt(time, fn, args):
-            # Captured as a cross-shard boundary message: the event fires
-            # on the *receiving* shard, not here.  Hand back a fresh,
-            # never-queued handle so callers that cancel it get a no-op.
-            # Safe because boundary deliveries (Channel._fused_done /
-            # _deliver) never store their schedule handles.
-            ev = Event(time, fn, args)
-            ev._queued = False
-            return ev
         free = self._free
         if free:
             ev = free.pop()
@@ -439,29 +421,6 @@ class Simulator:
     def stop(self) -> None:
         """Stop :meth:`run` after the current event returns."""
         self._stopped = True
-
-    def peek_time(self) -> float:
-        """Timestamp of the earliest *live* pending event (+inf if idle).
-
-        Lazily-cancelled entries at the head are discarded on the way —
-        the same skip the event loop would perform — so the answer is
-        the time of the next event that will actually fire.  This is the
-        per-shard clock promise forked sharded workers
-        (:func:`repro.sim.shard.run_forked`) exchange at window
-        boundaries: a shard whose ``peek_time()`` is ``t`` cannot cause
-        any effect anywhere before ``t``, and cannot deliver across a
-        boundary channel before ``t + lookahead``.
-        """
-        sched = self._sched
-        while True:
-            entry = sched.peek()
-            if entry is None:
-                return float("inf")
-            ev = entry[2]
-            if not ev.cancelled:
-                return entry[0]
-            sched.pop()  # discard the cancelled head lazily
-            ev._queued = False
 
     def pending(self, live: bool = False) -> int:
         """Number of pending events.

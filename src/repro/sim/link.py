@@ -18,18 +18,6 @@ counters are then updated at delivery time rather than at
 end-of-serialization — at most ``delay`` seconds later than the classic
 path, which is well inside every consumer's observation interval (the
 pushback/defense review timers sample at 100ms+).
-
-Channels are also the *shard boundary* of forked sharded execution
-(:mod:`repro.sim.shard`): a cross-shard send is intercepted at the
-scheduler seam when the channel schedules its delivery-side callback
-(``_fused_done`` on the fused path, ``_deliver`` on the classic one)
-and carried to the destination shard as a message.  That works because
-(a) every delivery is scheduled at least ``tx_time + delay > delay``
-ahead of ``now``, which is what gives the conservative windows their
-lookahead, and (b) this module never stores the delivery event handle —
-queueing, busy-tracking, and tail-drop accounting all stay on the
-sending side, so diverting the callback loses nothing.  Keep both
-properties when touching the scheduling calls below.
 """
 
 from __future__ import annotations

@@ -66,15 +66,17 @@ AUTO_CALENDAR_THRESHOLD = 1 << 16
 
 
 class Scheduler(Protocol):
-    """What the engine needs from a pending-event structure."""
+    """What the engine needs from a pending-event structure.
+
+    Keep the ``push``/``pop`` names: ``perfbench/tracing.py`` wraps both
+    methods of each scheduler class by name to count scheduler work.
+    """
 
     name: str
 
     def push(self, entry: Entry) -> None: ...
 
     def pop(self) -> Optional[Entry]: ...
-
-    def peek(self) -> Optional[Entry]: ...
 
     def drain(self) -> List[Entry]: ...
 
@@ -99,12 +101,6 @@ class HeapScheduler:
         if not self._heap:
             return None
         return heapq.heappop(self._heap)
-
-    def peek(self) -> Optional[Entry]:
-        """The earliest entry without removing it (None when empty)."""
-        if not self._heap:
-            return None
-        return self._heap[0]
 
     def drain(self) -> List[Entry]:
         out, self._heap = self._heap, []
@@ -299,22 +295,6 @@ class CalendarQueueScheduler:
         self._last_time = entry[0]
         if self._size < self._shrink_at:
             self._resize(self._nbuckets // 2)
-        return entry
-
-    def peek(self) -> Optional[Entry]:
-        """The earliest entry without removing it (None when empty).
-
-        When the front window is exhausted this has to pop (refilling on
-        the way) and push the entry back; both ends are O(1) amortized,
-        and peeks land on the hot front-window path in the steady state.
-        """
-        if self._fpos < len(self._front):
-            return self._front[self._fpos]
-        if self._size == 0:
-            return None
-        entry = self.pop()
-        if entry is not None:
-            self.push(entry)
         return entry
 
     def _refill(self) -> None:

@@ -266,8 +266,8 @@ def assign_roles(
 def subtree_partition(topo: TreeTopology) -> Dict[int, str]:
     """Map every node to a shard label: one shard per root-child subtree.
 
-    This is the natural cut for conservative sharded DES on the paper's
-    topology: the root router's client-side children anchor independent
+    This is the natural cut for a conservative parallel DES on the
+    paper's topology: the root router's client-side children anchor independent
     subtrees (shard ``sub<child>``), while the root itself and the
     server side (server gateway + servers) form the ``core`` shard that
     every subtree talks to across the bottleneck.  The same labels feed
@@ -286,8 +286,7 @@ def subtree_partition(topo: TreeTopology) -> Dict[int, str]:
             # root.  A one-host "shard" buys no parallelism and its
             # access link terminates inside the core, so fold it into
             # the core shard; a tree made only of such leaves then
-            # partitions into a single shard and sharded mode falls
-            # back to the plain serial loop.
+            # partitions into a single shard.
             part[child] = "core"
             continue
         label = f"sub{child}"

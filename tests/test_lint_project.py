@@ -125,10 +125,10 @@ class TestProjectSuppression:
 
 
 class TestStreamFamilies:
-    """The *stream family* idiom the per-host RNG discipline (sharded
-    execution) relies on: ``f"client.{leaf}"`` — an f-string with a
-    dotted literal prefix — is statically auditable by its prefix, so
-    RPL202 accepts it and RPL201 claims the prefix like a literal name.
+    """The *stream family* idiom for one stream per host:
+    ``f"client.{leaf}"`` — an f-string with a dotted literal prefix —
+    is statically auditable by its prefix, so RPL202 accepts it and
+    RPL201 claims the prefix like a literal name.
     """
 
     def test_dotted_prefix_family_passes_rpl202(self):
@@ -187,21 +187,6 @@ class TestStreamFamilies:
         }
         diags = project_pass_diagnostics(Project.from_sources(sources))
         assert sorted(d.code for d in diags) == ["RPL201", "RPL201"]
-
-    def test_shard_engine_modules_are_shard_safety_clean(self):
-        """The boundary objects introduced by sharded execution
-        communicate through the scheduler only — the shard-safety
-        passes (RPL101/102/103) recognize them as clean, keeping the
-        checked-in baseline empty."""
-        diags = lint_project(str(REPO_ROOT / "src"))
-        shard_files = ("sim/shard.py",)
-        offending = [
-            d
-            for d in diags
-            if d.code.startswith("RPL10")
-            and d.path.replace("\\", "/").endswith(shard_files)
-        ]
-        assert offending == [], [d.render() for d in offending]
 
 
 class TestRepoIsClean:

@@ -48,20 +48,21 @@ GOLDEN_POINTS = {
 }
 
 # SHA-256 over canonical JSON (sort_keys) of result_to_dict(...).
-# Last regenerated when the params dict lost ``shard_exec`` (the inline
-# sharded backend was deleted).  Witness: at the previous revision, the
-# sha256 of each artifact with ``params["shard_exec"]`` deleted equals
-# the digest below, so every simulation value — capture times,
-# throughput curves, event counts — is unchanged.
+# Last regenerated when the params dict lost its two sharding keys,
+# ``shards`` and the RNG-discipline switch (the forked sharded engine
+# and its per-host RNG streams were deleted).  Witness: at the previous
+# revision, the sha256 of each artifact with those two keys deleted from
+# ``params`` equals the digest below, so every simulation value —
+# capture times, throughput curves, event counts — is unchanged.
 GOLDEN_DIGESTS = {
     "fig8/honeypot-even": (
-        "be7895d28ad8a0ee59337a43312fc9e90478fe362560bda3fafaab994ae55b66"
+        "b5e69121db5991e7d0aebc816be576d533e2506b765df40f4a06f795e1f699b7"
     ),
     "fig10/pushback-close": (
-        "8e3c65c010981c45455613063de7827b637a6453dae2009a1413909b0c0813dc"
+        "738aac9a8d80de48762f4f5fab23091de1d184a1b485fff7e2ba2cfe37faec88"
     ),
     "fig11/none-halfrate": (
-        "e5951b97cba7602435400095e9a060e19190709abe7c0832acdbab30a4c3503d"
+        "3e9c188bda9ab8b186a10ecc9c184111f56d1dc0e01d1db59c6510e0a59a98bc"
     ),
 }
 

@@ -286,6 +286,54 @@ class TestSweepCommandExitCodes:
         assert not art["ok"]
         assert "QUARANTINED" in capsys.readouterr().out
 
+    def test_stale_checkpoint_is_a_usage_error(self, tmp_path, capsys):
+        """A checkpoint whose stored params carry a field the scenario no
+        longer has (``shards: 0``, as every checkpoint written before the
+        sharded engine was removed does) fails with one ``error:`` line
+        and exit 2 before any task runs — not a TypeError traceback."""
+        from dataclasses import asdict
+
+        from repro.cli import main
+        from repro.experiments.runner import result_to_dict
+        from repro.experiments.scenarios import (
+            TreeScenarioParams,
+            TreeScenarioResult,
+        )
+
+        result = result_to_dict(
+            TreeScenarioResult(
+                params=TreeScenarioParams(n_attackers=1),
+                times=[1.0],
+                legit_pct=[90.0],
+                attack_pct=[5.0],
+                legit_pct_during_attack=90.0,
+                defense_stats={},
+            )
+        )
+        result["params"] = {
+            **asdict(TreeScenarioParams(n_attackers=1)),
+            "shards": 0,
+        }
+        path = tmp_path / "ck.json"
+        SweepCheckpoint(path).record(
+            TaskOutcome(
+                "n_attackers=1/seed=0",
+                "ok",
+                value={"result": result, "telemetry": None},
+            )
+        )
+        code = main([
+            "sweep", "--field", "n_attackers", "--values", "1",
+            "--scale", "quick", "--defense", "none",
+            "--checkpoint", str(path),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        errors = captured.err.strip().splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error:")
+        assert "'shards'" in errors[0]
+        assert "[resumed]" not in captured.out
+
     def test_unknown_field_rejected(self):
         from repro.cli import main
 

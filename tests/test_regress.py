@@ -65,17 +65,28 @@ class TestCompare:
         report = compare_to_baseline(summary, BASELINE)
         assert not report.ok  # abs_tol=0 overrides the default band
 
-    def test_new_and_missing_do_not_gate(self):
+    def test_new_and_not_run_do_not_gate(self):
         summary = json.loads(json.dumps(SUMMARY))
-        del summary["fig6"]["metrics"]["points_total"]
+        del summary["fig6"]  # the bench did not run at all
         summary["hier"]["metrics"]["extra_metric"] = 1
         summary["brand_new_bench"] = {"metrics": {"m": 2}}
         report = compare_to_baseline(summary, BASELINE)
         assert report.ok
         statuses = {(c.bench, c.metric): c.status for c in report.checks}
-        assert statuses[("fig6", "points_total")] == "missing"
+        assert statuses[("fig6", "points_total")] == "not run"
+        assert statuses[("fig6", "mean_capture_time_s")] == "not run"
         assert statuses[("hier", "extra_metric")] == "new"
         assert statuses[("brand_new_bench", "m")] == "new"
+
+    def test_gated_metric_missing_from_a_bench_that_ran_fails(self):
+        summary = json.loads(json.dumps(SUMMARY))
+        del summary["fig6"]["metrics"]["points_total"]
+        report = compare_to_baseline(summary, BASELINE)
+        assert not report.ok
+        (failure,) = report.failures
+        assert (failure.bench, failure.metric) == ("fig6", "points_total")
+        assert failure.value is None and failure.baseline == 14
+        assert "[FAIL" in report.render()
 
     def test_non_numeric_values_compare_by_equality(self):
         baseline = {
@@ -193,6 +204,14 @@ class TestCli:
         summary.write_text(json.dumps(doc))
         assert main(self._argv(files)) == 1
         assert "[FAIL" in capsys.readouterr().out
+
+    def test_vanished_gated_metric_exits_one(self, files, capsys):
+        summary, _, _ = files
+        doc = json.loads(summary.read_text())
+        doc["hier"]["metrics"] = {}
+        summary.write_text(json.dumps(doc))
+        assert main(self._argv(files)) == 1
+        assert "[FAIL   ] hier/captures" in capsys.readouterr().out
 
     def test_no_trajectory_flag(self, files):
         assert main(self._argv(files, "--no-trajectory")) == 0
