@@ -1,7 +1,7 @@
 """Discrete-event simulation engine.
 
 A minimal, fast event scheduler in the style of ns-2's event loop.
-Pending events are ``(time, sequence, Event)`` entries in a pluggable
+Pending events are ``(time, sequence, fn, arg)`` entries in a pluggable
 scheduler structure (see :mod:`repro.sim.scheduler`): the classic
 binary heap, or a calendar queue for very large event populations.
 The sequence number breaks ties FIFO so that events scheduled for the
@@ -9,6 +9,15 @@ same instant fire in the order they were scheduled, which keeps
 simulations deterministic — and because entries order totally, every
 scheduler dispatches the *identical* event sequence, a property the
 causal journal verifies end-to-end (``repro replay --check``).
+
+Entries come in two shapes, drawn from the one sequence counter:
+
+* ``(time, seq, fn, arg)`` — a *bare* entry, dispatched as ``fn(arg)``.
+  Posted by :meth:`Simulator._post` for callbacks nothing ever cancels:
+  the link completions, which are about nine in ten events of a run.
+  No object is allocated beyond the tuple.
+* ``(time, seq, None, event)`` — an :class:`Event` handle, returned by
+  the public ``schedule*`` API so the caller can cancel it.
 
 Scheduler selection (``Simulator(scheduler=...)``):
 
@@ -28,13 +37,8 @@ process abstraction.  Helper classes (:class:`Timer`,
 :func:`Simulator.every`) cover the recurring-timer patterns the defense
 protocols need.
 
-Allocation relief: dispatched :class:`Event` objects are recycled
-through a per-simulator freelist of at most ``_FREELIST_MAX`` entries.
-The contract is that an Event handle is only meaningful until its
-callback has run — cancelling after that is a no-op on the handle, but
-holders must drop fired-event references promptly (every in-tree holder
-reassigns or clears on fire) because the object may be reissued by a
-later ``schedule()``.
+A handle is never reissued: cancelling it after its callback has run
+is a no-op, so holders may keep fired handles.
 
 :meth:`Simulator.run` is the single dispatch loop.  Observers — the
 engine profiler, the live streamer, per-event attribution — are picked
@@ -60,17 +64,9 @@ __all__ = [
     "SimulationError",
 ]
 
-# Cap on recycled Event objects kept per simulator; bounds memory after
-# a scheduling burst while still absorbing the steady-state churn.
-_FREELIST_MAX = 8192
-
 
 class SimulationError(RuntimeError):
     """Raised for scheduling errors (e.g. scheduling in the past)."""
-
-
-def _retired() -> None:  # pragma: no cover - placeholder callback
-    """Callback parked on freelist events so a stale fire is harmless."""
 
 
 class Event:
@@ -81,30 +77,26 @@ class Event:
     heap-based schedulers; the engine keeps a separate live counter so
     :meth:`Simulator.pending` can still report the true pending count.
 
-    A handle is valid until its callback runs; after that ``cancel()``
-    is a no-op and the object may be recycled for a later ``schedule()``
-    call, so holders must not retain fired-event references.
+    ``cancel()`` after the callback has run is a no-op.
     """
 
-    __slots__ = ("time", "fn", "args", "cancelled", "_queued", "_sim")
+    __slots__ = ("time", "fn", "args", "cancelled", "_sim")
 
-    def __init__(self, time: float, fn: Callable[..., Any], args: tuple) -> None:
+    def __init__(
+        self, sim: "Simulator", time: float, fn: Callable[..., Any], args: tuple
+    ) -> None:
         self.time = time
         self.fn = fn
         self.args = args
         self.cancelled = False
-        self._queued = False
-        self._sim: Optional["Simulator"] = None
+        # The owning simulator while queued; run() clears it on pop.
+        self._sim: Optional["Simulator"] = sim
 
     def cancel(self) -> None:
         """Prevent the event from firing (no-op if it already fired)."""
-        if self.cancelled or not self._queued:
-            self.cancelled = True
-            return
+        if self._sim is not None and not self.cancelled:
+            self._sim._live -= 1
         self.cancelled = True
-        sim = self._sim
-        if sim is not None:
-            sim._live -= 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -177,9 +169,6 @@ class Simulator:
             self._auto = False
         self.scheduler_policy: str = policy
 
-        # Event freelist (allocation relief on the hot path).
-        self._free: List[Event] = []
-
         # Optional packet recycling pool (repro.sim.packet.PacketPool).
         # Off by default: consumers that retain packet references past
         # delivery must copy (borrow-only contract, see packet.py).
@@ -219,23 +208,30 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time} before current time t={self.now}"
             )
-        free = self._free
-        if free:
-            ev = free.pop()
-            ev.time = time
-            ev.fn = fn
-            ev.args = args
-            ev.cancelled = False
-        else:
-            ev = Event(time, fn, args)
-        ev._queued = True
-        ev._sim = self
+        ev = Event(self, time, fn, args)
         self._seq += 1
-        self._sched.push((time, self._seq, ev))
+        self._sched.push((time, self._seq, None, ev))
         self._live += 1
         if self._auto and self._live > AUTO_CALENDAR_THRESHOLD:
             self._migrate_to_calendar()
         return ev
+
+    def _post(self, time: float, fn: Callable[[Any], Any], arg: Any) -> None:
+        """Schedule ``fn(arg)`` at absolute ``time`` as a bare entry.
+
+        The engine-internal, uncancellable entry point: no handle is
+        made or returned.  Same sequence counter, past-time check and
+        live count as :meth:`schedule_at`.
+        """
+        if time < self.now:
+            raise SimulationError(
+                f"cannot schedule at t={time} before current time t={self.now}"
+            )
+        self._seq += 1
+        self._sched.push((time, self._seq, fn, arg))
+        self._live += 1
+        if self._auto and self._live > AUTO_CALENDAR_THRESHOLD:
+            self._migrate_to_calendar()
 
     def schedule_many(
         self, times: Sequence[float], fn: Callable[..., Any], *args: Any
@@ -249,7 +245,6 @@ class Simulator:
         """
         now = self.now
         sched = self._sched
-        free = self._free
         seq = self._seq
         out: List[Event] = []
         try:
@@ -258,18 +253,9 @@ class Simulator:
                     raise SimulationError(
                         f"cannot schedule at t={time} before current time t={now}"
                     )
-                if free:
-                    ev = free.pop()
-                    ev.time = time
-                    ev.fn = fn
-                    ev.args = args
-                    ev.cancelled = False
-                else:
-                    ev = Event(time, fn, args)
-                ev._queued = True
-                ev._sim = self
+                ev = Event(self, time, fn, args)
                 seq += 1
-                sched.push((time, seq, ev))
+                sched.push((time, seq, None, ev))
                 out.append(ev)
         finally:
             self._seq = seq
@@ -353,8 +339,6 @@ class Simulator:
             wall_start = perf_counter()  # reprolint: ignore[RPL002] -- profiler
         self._running = True
         self._stopped = False
-        free = self._free
-        free_max = _FREELIST_MAX  # a local: read on every dispatch
         # Sentinel instead of a per-event None test; time > inf is never
         # true, so the untimed loop pays one float compare.
         limit = float("inf") if until is None else until
@@ -365,33 +349,31 @@ class Simulator:
                 entry = sched.pop()
                 if entry is None:
                     break
-                time = entry[0]
+                time, _, fn, arg = entry
                 if time > limit:
                     sched.push(entry)
                     break
-                ev = entry[2]
-                ev._queued = False
-                if ev.cancelled:
-                    if len(free) < free_max:
-                        ev.fn = _retired
-                        ev.args = ()
-                        free.append(ev)
-                    continue
-                self._live -= 1
-                self.now = time
-                if attribute is not None:
-                    attribute(ev.fn, ev.args)
+                if fn is not None:  # a bare entry
+                    self._live -= 1
+                    self.now = time
+                    if attribute is None:
+                        fn(arg)
+                    else:
+                        attribute(fn, (arg,))
                 else:
-                    ev.fn(*ev.args)
+                    # An Event entry, skipped if cancelled.  Clearing
+                    # _sim first makes a cancel() from inside its own
+                    # callback (a timer cancelling itself) a no-op.
+                    arg._sim = None
+                    if arg.cancelled:
+                        continue
+                    self._live -= 1
+                    self.now = time
+                    if attribute is None:
+                        arg.fn(*arg.args)
+                    else:
+                        attribute(arg.fn, arg.args)
                 processed += 1
-                # Retire only after the callback returns: a callback may
-                # legitimately cancel the very event that is firing (a
-                # timer cancelling itself), which must see _queued=False
-                # on this object, not on a recycled successor.
-                if len(free) < free_max:
-                    ev.fn = _retired
-                    ev.args = ()
-                    free.append(ev)
                 if watch:
                     # _live here is the pending population the next
                     # iteration starts from, i.e. its high-water sample.
@@ -483,9 +465,6 @@ class Timer:
         self._event = sim.schedule_at(at, self._fire)
 
     def _fire(self) -> None:
-        # Drop the fired-event handle immediately: the engine may
-        # recycle the object, so a later cancel() must not reach it.
-        self._event = None
         if self.cancelled:
             return
         self.fn(*self.args)

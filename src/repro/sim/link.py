@@ -7,10 +7,13 @@ transmission in a drop-tail queue, and delivers each packet to the far
 node one propagation delay after its last bit is sent.
 
 This module is the simulator's hot path; it avoids allocation beyond
-the unavoidable scheduler entries.  An idle channel takes the *fused*
-path: one event at ``now + tx_time + delay`` performs the send
-accounting and the delivery together, replacing the classic
-``_tx_done -> _deliver`` two-event chain.  The chain is only needed
+the unavoidable scheduler entries.  Nothing ever cancels a channel's
+completions, so they go through the engine's uncancellable
+:meth:`~repro.sim.engine.Simulator._post`: a bare heap entry per hop,
+with no :class:`~repro.sim.engine.Event` handle.  An idle channel
+takes the *fused* path: one event at ``now + tx_time + delay``
+performs the send accounting and the delivery together, replacing the
+classic ``_tx_done -> _deliver`` two-event chain.  The chain is only needed
 when the queue has backlog to drain, because that is the only case
 where something has to happen at the end of serialization (start the
 next transmission) distinct from the delivery instant.  Send/byte
@@ -107,7 +110,7 @@ class Channel:
             # nothing needs to happen at the serialization boundary.
             tx_time = pkt.size * 8.0 / self.bandwidth_bps
             self._busy_until = now + tx_time
-            sim.schedule(tx_time + self.delay, self._fused_done, pkt)
+            sim._post(now + (tx_time + self.delay), self._fused_done, pkt)
             return True
         if not self.queue.push(pkt):
             self.packets_dropped += 1
@@ -122,7 +125,7 @@ class Channel:
             # queue to start draining the instant the serializer frees
             # up (the in-flight fused event will not pull the queue).
             self._draining = True
-            sim.schedule_at(self._busy_until, self._drain)
+            sim._post(self._busy_until, self._drain, None)
         return True
 
     def _fused_done(self, pkt: Packet) -> None:
@@ -134,7 +137,7 @@ class Channel:
         pkt.hops += 1
         self.dst.receive(pkt, self)
 
-    def _drain(self) -> None:
+    def _drain(self, _: None) -> None:
         nxt = self.queue.pop()
         if nxt is None:
             self._draining = False
@@ -144,13 +147,14 @@ class Channel:
     def _transmit(self, pkt: Packet) -> None:
         self._draining = True
         tx_time = pkt.size * 8.0 / self.bandwidth_bps
-        self._busy_until = self.sim.now + tx_time
-        self.sim.schedule(tx_time, self._tx_done, pkt)
+        self._busy_until = busy_until = self.sim.now + tx_time
+        self.sim._post(busy_until, self._tx_done, pkt)
 
     def _tx_done(self, pkt: Packet) -> None:
         self.packets_sent += 1
         self.bytes_sent += pkt.size
-        self.sim.schedule(self.delay, self._deliver, pkt)
+        sim = self.sim
+        sim._post(sim.now + self.delay, self._deliver, pkt)
         nxt = self.queue.pop()
         if nxt is not None:
             self._transmit(nxt)

@@ -1,6 +1,7 @@
 """Pluggable event schedulers for the simulation engine.
 
-The engine stores pending events as ``(time, seq, Event)`` tuples; the
+The engine stores pending events as ``(time, seq, fn, arg)`` tuples
+(see :mod:`repro.sim.engine` for the two entry shapes); the
 sequence number breaks ties FIFO so that events scheduled for the same
 instant fire in scheduling order.  Any structure that pops those tuples
 in ascending order is a valid scheduler, and because the entry tuples
@@ -42,10 +43,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import insort
-from typing import TYPE_CHECKING, Iterable, List, Optional, Protocol, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .engine import Event
+from typing import Any, Callable, Iterable, List, Optional, Protocol, Tuple
 
 __all__ = [
     "Entry",
@@ -56,7 +54,7 @@ __all__ = [
     "AUTO_CALENDAR_THRESHOLD",
 ]
 
-Entry = Tuple[float, int, "Event"]
+Entry = Tuple[float, int, Optional[Callable[..., Any]], Any]
 
 # Pending-event count at which the "auto" policy migrates the running
 # simulator from the heap to the calendar queue.  Below this the C-level

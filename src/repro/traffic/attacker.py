@@ -154,8 +154,6 @@ class FollowerAttackHost:
         self._start_event = self.sim.schedule_at(max(when, self.sim.now), self._begin)
 
     def _begin(self) -> None:
-        # Drop the fired handle first: the engine may recycle it.
-        self._start_event = None
         if not self._running:
             return
         self.cbr.start()

@@ -101,12 +101,9 @@ class CBRSource:
         self.packets_sent = 0
         self._running = False
         self._next_event = None
-        # Batched path: events for precomputed departures, with a
-        # cursor separating fired events (which the engine may have
-        # recycled — never touch those handles again) from pending ones
-        # that stop() must cancel.
-        self._batch_events: List[Optional[Event]] = []
-        self._batch_pos = 0
+        # Batched path: events for the precomputed departures, which
+        # stop() cancels (a no-op on those that already fired).
+        self._batch_events: List[Event] = []
 
     # ------------------------------------------------------------------
     def start(self, at: Optional[float] = None) -> None:
@@ -123,15 +120,9 @@ class CBRSource:
         if self._next_event is not None:
             self._next_event.cancel()
             self._next_event = None
-        # Cancel only the not-yet-fired tail of the batch; fired
-        # handles may already be recycled by the engine.
-        events = self._batch_events
-        for i in range(self._batch_pos, len(events)):
-            ev = events[i]
-            if ev is not None:
-                ev.cancel()
-        events.clear()
-        self._batch_pos = 0
+        for ev in self._batch_events:
+            ev.cancel()
+        self._batch_events = []
 
     @property
     def running(self) -> bool:
@@ -201,13 +192,8 @@ class CBRSource:
         events = self.sim.schedule_many(times[:-1], self._send_one)
         events.append(self.sim.schedule_at(times[-1], self._refill))
         self._batch_events = events
-        self._batch_pos = 0
 
     def _send_one(self) -> None:
-        # Batch events fire in chronological order; advance the cursor
-        # past this (about-to-be-recycled) handle first.
-        self._batch_events[self._batch_pos] = None
-        self._batch_pos += 1
         if not self._running:
             return
         self._send_packet()

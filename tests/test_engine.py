@@ -49,6 +49,14 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule_at(1.0, lambda: None)
 
+    def test_bare_entry_in_past_rejected(self):
+        sim = Simulator()
+        sim.schedule(5.0, lambda: None)
+        sim.run()
+        with pytest.raises(SimulationError):
+            sim._post(1.0, lambda _: None, None)
+        assert sim.pending(live=True) == 0
+
     def test_events_scheduled_during_run_fire(self):
         sim = Simulator()
         fired = []
@@ -193,9 +201,12 @@ def _exercise(sim):
     def burst():
         log.append(("burst", sim.now))
         for i in range(5):
-            sim.schedule(0.1 * (i + 1), log.append, ("b", i))
+            if i % 2:  # the uncancellable bare-entry path
+                sim._post(sim.now + 0.1 * (i + 1), log.append, ("b", i))
+            else:
+                sim.schedule(0.1 * (i + 1), log.append, ("b", i))
 
-    sim.schedule(1.0, burst)
+    fired = sim.schedule(1.0, burst)
     holder = []
     holder.append(
         sim.every(0.75, lambda: (log.append(("tick", sim.now)), holder[0].cancel()))
@@ -203,10 +214,15 @@ def _exercise(sim):
     sim.schedule(5.0, log.append, "late")
     sim.run(until=3.0)
     out["until"] = (sim.now, sim.pending(live=True), sim.pending(), sim.events_processed)
-    # The cancelled event was skipped and parked on the freelist.
-    out["recycled"] = any(ev is doomed for ev in sim._free)
-    sim.schedule(1.0, lambda: (log.append("stop"), sim.stop()))
-    sim.schedule(1.0, log.append, "after-stop")
+    # Cancelling a handle after it fired leaves the live count alone.
+    fired.cancel()
+    out["cancel_after_fire"] = sim.pending(live=True)
+    later = [
+        sim.schedule(1.0, lambda: (log.append("stop"), sim.stop())),
+        sim.schedule(1.0, log.append, "after-stop"),
+    ]
+    # Handles are never reissued: neither the skipped nor the fired one.
+    out["reissued"] = any(ev is old for ev in later for old in (doomed, fired))
     sim.run()
     out["stop"] = (sim.now, sim.pending(live=True), sim.events_processed)
     sim.run()
@@ -226,7 +242,8 @@ class TestSingleLoopObservers:
         observer = _observe(sim, observers, tmp_path)
         assert _exercise(sim) == baseline
         assert baseline["until"] == (3.0, 1, 1, 7)
-        assert baseline["recycled"]
+        assert baseline["cancel_after_fire"] == 1
+        assert not baseline["reissued"]
         assert baseline["stop"] == (4.0, 2, 8)
         assert baseline["drain"] == (5.0, 0, 10)
         assert baseline["log"][:2] == [("tick", 0.75), ("burst", 1.0)]

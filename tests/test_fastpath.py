@@ -1,4 +1,4 @@
-"""Fast-path safety: packet recycling, event freelist, live pending,
+"""Fast-path safety: packet recycling, event handles, live pending,
 timer-jitter clamp accounting, and batched CBR generation.
 
 The perf machinery must be invisible to simulation semantics:
@@ -190,16 +190,19 @@ class TestTimerJitterClamp:
         assert sim.timer_jitter_clamps == 0
 
 
-class TestEventFreelist:
-    def test_fired_events_are_recycled(self):
+class TestEventHandles:
+    def test_fired_handle_is_never_reissued(self):
         sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        first = sim._sched.pop()[2]
-        sim._sched.push((first.time, 1, first))
+        first = sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
+        sim.run(until=1.5)
+        first.cancel()  # after fire: a no-op on the live count
+        assert sim.pending(live=True) == 1
+        later = [sim.schedule(1.0, lambda: None) for _ in range(3)]
+        assert all(ev is not first for ev in later)
+        assert sim.pending(live=True) == 4
         sim.run()
-        ev = sim.schedule(1.0, lambda: None)
-        assert ev is first  # reissued from the freelist
-        sim.run()
+        assert sim.events_processed == 5
 
     def test_timer_self_cancel_during_fire_is_safe(self):
         sim = Simulator()

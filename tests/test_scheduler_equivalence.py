@@ -19,6 +19,7 @@ import json
 import random
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import Simulator
@@ -92,6 +93,31 @@ def test_reschedule_during_run_identical(delays):
 
     logs = [drive(s) for s in SCHEDULERS]
     assert logs[0] == logs[1]
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+def test_bare_and_event_entries_fire_in_scheduling_order(scheduler):
+    """Bare entries and Event handles draw from one sequence counter:
+    at one instant they fire in the order they were scheduled, and a
+    cancelled handle between them is skipped without reordering."""
+    sim = Simulator(scheduler=scheduler)
+    log = []
+
+    def spawn(_):
+        # Scheduled from inside a callback at the instant it fires.
+        sim._post(sim.now, log.append, "b-now")
+        sim.schedule(0.0, log.append, "e-now")
+
+    sim.schedule(1.0, log.append, "e0")
+    sim._post(1.0, log.append, "b1")
+    sim.schedule_at(1.0, log.append, "x").cancel()
+    sim.schedule_many([1.0], log.append, "e2")
+    sim._post(1.0, spawn, None)
+    sim.schedule_at(1.0, log.append, "e3")
+    sim._post(1.0, log.append, "b4")
+    sim.run()
+    assert log == ["e0", "b1", "e2", "e3", "b4", "b-now", "e-now"]
+    assert sim.events_processed == 8
 
 
 def test_structure_fuzz_mixed_magnitudes():
